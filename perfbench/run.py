@@ -31,7 +31,7 @@ Workloads (why each was chosen):
           conjugate over Z.  One op is one sweep call.
 
 --trace 0 prints the end-to-end metrics:
-  setup_s          median over 5 fresh interpreters of: import matgen.cli,
+  setup_s          median over 3 fresh interpreters of: import matgen.cli,
                    build the inputs, first-call warm-ups
   wall_s           time to finish the op list: the sum of every step's
                    latency, certificates between oracle ops included
@@ -74,7 +74,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 3
 MIN_ROUNDS = 2
 CHILD_TIMEOUT = 170
 
