@@ -25,7 +25,8 @@ Workloads (why each was chosen):
           1-16 copies, decided as `matgen check` decides them: field
           arithmetic, echelon and span closure, intertwiners, HNF/SNF and the
           all-primes certificate.  The 2x2 non-generating families over F_8
-          and F_16 refuse at this commit and are kept in `failed`.
+          and F_16 refuse while build_ext_field caps the degree at 4 (their
+          eigenline test needs F_64 and F_256); they are kept in `failed`.
   oracle  the all-primes certificate against the GL_2(F_p) sweep at the 11
           primes up to 31, on seeded integer pairs, a third of them
           conjugate over Z.  One op is one sweep call.

@@ -413,8 +413,9 @@ def _semiprime(rng) -> int:
 # fixture), t16 (table16 columns), xy (gap chain), mixed, scalar
 # (generating); tri, conj (non-generating); semiprime (Z, not generating,
 # with about 10^5 steps of trial division in the certificate).  Non-generating
-# 2x2 families over F_8 and F_16 are only of kind tri: those refuse at this
-# commit, and the share of refusals is the share of these templates.
+# 2x2 families over F_8 and F_16 are only of kind tri: their eigenline test
+# needs F_64 or F_256, which build_ext_field refuses (degree above 4), so the
+# share of refusals is the share of these templates.
 FIELDS = (2, 3, 5, 7, 4, 8, 9, 16)
 CHECK_PLAN = tuple(
     [(q, 2, (2, 6, 4, 5, 3, 2, 3, 4)[k], "t16") for k, q in enumerate(FIELDS)]
