@@ -13,9 +13,22 @@ for S seconds.  Every answer is checked (see workloads.py); a wrong answer
 exits with code 1.  Refusals (DomainError, UndecidableError) and crashes
 are counted in `failed`.
 
-Each op's latency is its fastest round.  The shared hosts this runs on
-slow down by 20-40% for seconds to minutes at a time; the fastest of
-several rounds spread over the run is the op's own cost.
+Times are host-normalised seconds.  The shared hosts this runs on slow
+down by 20-40% for milliseconds to minutes at a time, so a raw time says as
+much about the host's phase as about matgen.  A fixed reference loop,
+independent of matgen, runs before the first op of a round and after every
+op, and before and after every subprocess.  Each raw time t is reported as
+t * REF_S / r, where r is the mean of the reference loop's two timings
+around it: the time the op would take on a host that runs the reference
+loop in REF_S seconds.  Every ratio of two such times is a ratio of
+matgen's own costs.  Each step's cost is its median over the rounds; the
+raw round walls are on the detail line.
+
+The host's phases slow pure-Python code and numpy kernels by different
+amounts, so the loop matches the work: pure Python for census and check,
+numpy array arithmetic for oracle, whose sweep is numpy; subprocesses
+(interpreter start-up, imports, then a pure-Python command) use the
+geometric mean of the two.
 
 Workloads (why each was chosen):
   census  exhaustive counting over F_2, F_3, F_4 (n = 2): the table-driven
@@ -35,9 +48,9 @@ Workloads (why each was chosen):
   setup_s          median over 3 fresh interpreters of: import matgen.cli,
                    build the inputs, first-call warm-ups
   wall_s           time to finish the op list: the sum of every step's
-                   latency, certificates between oracle ops included
+                   cost, certificates between oracle ops included
   ops_per_s        ops in a round / wall_s
-  latency_p50_ms   median latency over the ops of a round
+  latency_p50_ms   median cost over the ops of a round
   latency_tail_ms  the highest whole percentile with at least 10 ops above
                    it; the percentile and the sample count are printed on
                    the detail line
@@ -46,18 +59,20 @@ Workloads (why each was chosen):
                    enumerated (census), generator tuples decided (check),
                    candidate conjugators in GL_2(F_p) swept (oracle)
   cli_p50_s        median over the workload's `matgen` subcommands of each
-                   one's fastest run as a process with --threads 1
+                   one's median run as a process with --threads 1
 The failure ratio failed / attempted is printed on the detail line.
 
 --trace 1 runs the workload's baseline rows, then untraced and traced
 rounds in turn, and prints the per-layer metrics of the traced rounds
-(tracer.py), the tracing overhead and the baseline rows.  Spans go to
-.perfbench_out/.
+(tracer.py), the tracing overhead and the baseline rows.  Span times and
+baseline rows are raw seconds; set-up probes and the overhead ratio are
+normalised.  Spans go to .perfbench_out/.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -76,7 +91,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
 SETUP_SAMPLES = 3
-MIN_ROUNDS = 2
+MIN_ROUNDS = 3
+# each reference loop takes about REF_S seconds on a 2-vCPU Intel Xeon VM;
+# REF_S only sets the scale of the reported times
+REF_S = 0.005
+PYTHON_REF_ITERS = 20_000
+NUMPY_REF_LEN = 150_000
 CHILD_TIMEOUT = 170
 
 
@@ -102,6 +122,61 @@ def _import_workloads():
     import workloads
 
     return workloads
+
+
+# ---------------------------------------------------------------------------
+# host normalisation
+
+
+def _python_loop() -> None:
+    acc, table = 0, {}
+    for i in range(PYTHON_REF_ITERS):
+        t = (i, i ^ 5, i & 7)
+        acc = (acc + t[0] * t[2]) % 1_000_003
+        table[i & 255] = acc
+
+
+@functools.cache
+def _numpy_ref_array():
+    import numpy as np
+
+    return np.arange(NUMPY_REF_LEN, dtype=np.int64)
+
+
+def _numpy_loop() -> None:
+    x = _numpy_ref_array()
+    for k in range(3):
+        x[(x * (k + 3) + 1) % 31 == 0]
+
+
+def _seconds(loop) -> float:
+    start = perf_counter()
+    loop()
+    return perf_counter() - start
+
+
+def reference(kind: str) -> float:
+    """Seconds taken by the fixed loop of `kind` ("python", "numpy" or
+    "mixed"): the host's current speed, measured without matgen."""
+    if kind == "python":
+        return _seconds(_python_loop)
+    if kind == "numpy":
+        return _seconds(_numpy_loop)
+    return math.sqrt(_seconds(_python_loop) * _seconds(_numpy_loop))
+
+
+def normalised(seconds: float, ref_before: float, ref_after: float) -> float:
+    return seconds * REF_S / ((ref_before + ref_after) / 2)
+
+
+def _normalised_process(fn):
+    """(raw seconds, normalised seconds, result) of a call that runs a
+    subprocess."""
+    before = reference("mixed")
+    start = perf_counter()
+    result = fn()
+    secs = perf_counter() - start
+    return secs, normalised(secs, before, reference("mixed")), result
 
 
 # ---------------------------------------------------------------------------
@@ -131,25 +206,29 @@ def _child_env() -> dict:
 
 
 def setup_sample(workload: str, seed: int) -> dict:
-    """One set-up in a fresh interpreter."""
-    proc = subprocess.run(
+    """One set-up in a fresh interpreter; every time in it normalised by
+    the reference loop around the process."""
+    secs, norm, proc = _normalised_process(lambda: subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
          "--workload", workload, "--seed", str(seed)],
         capture_output=True, text=True, timeout=CHILD_TIMEOUT, cwd=ROOT,
-        env=_child_env())
+        env=_child_env()))
     if proc.returncode != 0:
         _fail(f"set-up probe failed:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    raw = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {name: value * norm / secs for name, value in raw.items()}
 
 
 # ---------------------------------------------------------------------------
 # rounds
 
 
-def run_round(wl, refusals, tally: Counter, tracer=None) -> list:
-    """One pass over the op list: the duration of every step.  The gate runs
-    outside every timing."""
-    durations = []
+def run_round(wl, refusals, tally: Counter, tracer=None):
+    """One pass over the op list: (raw seconds, normalised seconds) of every
+    step.  The reference loop runs after each step, before its gate; the
+    gate runs outside every timing."""
+    durations, costs = [], []
+    ref_before = reference(wl.reference)
     for i, step in enumerate(wl.steps):
         if tracer is not None:
             tracer.op = i
@@ -162,7 +241,11 @@ def run_round(wl, refusals, tally: Counter, tracer=None) -> list:
         except Exception:
             outcome = "crashed"
             traceback.print_exc(file=sys.stderr)
-        durations.append(perf_counter() - start)
+        secs = perf_counter() - start
+        ref_after = reference(wl.reference)
+        durations.append(secs)
+        costs.append(normalised(secs, ref_before, ref_after))
+        ref_before = ref_after
         if step.kind == "op":
             tally["attempted"] += 1
         tally[outcome] += 1
@@ -179,26 +262,23 @@ def run_round(wl, refusals, tally: Counter, tracer=None) -> list:
                 tracer.times.clear(), tracer.times.update(times)
     if tracer is not None:
         tracer.op = -1
-    return durations
+    return durations, costs
 
 
-def best_steps(rounds: list) -> list:
-    """Each step's fastest round: the cost of the step itself, without the
-    slow phases that a shared host goes through for seconds at a time."""
-    return [min(durations) for durations in zip(*rounds)]
-
-
-def best_wall(rounds: list) -> float:
-    return sum(best_steps(rounds))
+def step_costs(rounds: list) -> list:
+    """Each step's median normalised time over the rounds."""
+    return [statistics.median(costs) for costs in zip(*rounds)]
 
 
 def cli_run(run, work: Path) -> float:
-    """One of the workload's subcommands as a process, checked: seconds."""
+    """One of the workload's subcommands as a process, checked: normalised
+    seconds."""
     for name, text in run.files.items():
         (work / name).write_text(text, encoding="utf-8")
-    secs, code, out = _matgen([a.format(dir=work) for a in run.argv])
+    _, norm, (code, out) = _normalised_process(
+        lambda: _matgen([a.format(dir=work) for a in run.argv])[1:])
     run.expect(code, out)
-    return secs
+    return norm
 
 
 def tail(samples: list):
@@ -345,13 +425,13 @@ def end_to_end(args, workloads, refusals, tally: Counter):
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    best = best_steps(rounds)
+    cost = step_costs([c for _, c in rounds])
     ops = [i for i, step in enumerate(wl.steps) if step.kind == "op"]
-    per_op = [best[i] for i in ops]
-    wall = sum(best)
+    per_op = [cost[i] for i in ops]
+    wall = sum(cost)
     tuples = sum(wl.steps[i].tuples for i in ops)
-    tuple_time = sum(best[i] for i in ops if wl.steps[i].tuples)
-    cli_best = [min(samples) for samples in cli]
+    tuple_time = sum(cost[i] for i in ops if wl.steps[i].tuples)
+    cli_median = [statistics.median(samples) for samples in cli]
     pct, tail_value, beyond = tail(per_op)
     metrics = {
         "setup_s": (statistics.median(r["setup_s"] for r in setups), "s"),
@@ -361,9 +441,9 @@ def end_to_end(args, workloads, refusals, tally: Counter):
         "latency_tail_ms": (1e3 * tail_value, "ms"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
         "tuples_per_s": (tuples / tuple_time, "1/s"),
-        "cli_p50_s": (statistics.median(cli_best), "s"),
+        "cli_p50_s": (statistics.median(cli_median), "s"),
     }
-    detail = {"rounds": len(rounds), "round_walls": [sum(r) for r in rounds],
+    detail = {"rounds": len(rounds), "raw_round_walls": [sum(raw) for raw, _ in rounds],
               "ops_per_round": len(per_op),
               "latency_tail": {"percentile": pct, "samples": len(per_op),
                                "beyond": beyond},
@@ -407,7 +487,8 @@ def traced(args, workloads, refusals, tally: Counter):
 
     metrics = {name: (statistics.median(r[name][0] for r in per_round), unit)
                for name, (_, unit) in per_round[0].items()}
-    traced_wall, plain_wall = best_wall(traced_rounds), best_wall(plain)
+    traced_wall = sum(step_costs([c for _, c in traced_rounds]))
+    plain_wall = sum(step_costs([c for _, c in plain]))
     metrics.update({
         "cli.import_s": (statistics.median(r["import_s"] for r in probes), "s"),
         "cli.numpy_import_s": (statistics.median(r["numpy_import_s"] for r in probes), "s"),

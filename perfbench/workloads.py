@@ -63,6 +63,7 @@ class CliRun:
 class Workload:
     steps: list
     cli: list
+    reference: str = "python"      # the host-speed loop that matches the work
 
 
 def _require(cond: bool, what: str) -> None:
@@ -594,7 +595,7 @@ def build_oracle(seed: int) -> Workload:
     probe = _int_tuple([[[1, 0], [0, 1]]])
     for p in ORACLE_PRIMES:
         conjugacy.conjugate_mod_p_bruteforce(probe, probe, p)
-    return Workload(steps, [_oracle_cli()])
+    return Workload(steps, [_oracle_cli()], reference="numpy")
 
 
 def build(name: str, seed: int, root: Path) -> Workload:
