@@ -5,9 +5,13 @@ PGL-orbit counting by canonical representatives, the maximal-subalgebra
 catalog of M_2(F_q) with the complement-count oracle, and exact evaluators
 for every closed formula and bound used downstream.
 
-The enumeration engine packs matrices into integer ids over a table-driven
-field so the desk-scale censuses stay fast; tuples over F_2 are plain bit
-masks with a precomputed 16x16 multiplication table.
+The enumeration engine numbers matrices by integer ids over a table-driven
+field.  Over F_q it decides a block of m-tuples at once with a batched numpy
+span closure: per-tuple echelon bases of uint8 field indices, grown level by
+level from the products of the newly added rows with the generators until a
+tuple reaches rank n^2 or a level adds nothing.  Memory grows with the block
+size and n, not with the number of matrices.  Tuples of 2x2 matrices over
+F_2 are plain bit masks with a precomputed 16x16 multiplication table.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .domains import DomainError, field_of_order
+import numpy as np
+
+from .domains import DomainError, field_of_order, is_prime_power
 from .linalg import kernel_basis, rref, subspace_intersection
 
 DEFAULT_ENUMERATION_CAP = 2**26
@@ -137,45 +143,138 @@ def _matmul(x, y, n, add, mul):
     return tuple(out)
 
 
-def _generates(mats, n, F: SmallField) -> bool:
-    """Span closure of an m-tuple inside M_n(F_q); True iff it is everything."""
-    add, sub, mul, inv = F.add_t, F.sub_t, F.mul_t, F.inv_t
-    dim2 = n * n
-    rows = [None] * dim2
-    dim = 0
+# ---------------------------------------------------------------------------
+# batched span closure over F_q
+#
+# A block of m-tuples is decided at once.  Entries are field indices; every
+# array keeps the tuple axis last, so each per-entry slice is contiguous.
+# Field operations are gathers from flat tables indexed by (a << shift) | b.
 
-    def insert(v):
-        nonlocal dim
-        v = list(v)
-        for i in range(dim2):
-            x = v[i]
-            if x:
-                row = rows[i]
-                if row is None:
-                    iv = inv[x]
-                    rows[i] = tuple(mul[iv][c] for c in v)
-                    dim += 1
-                    return True
-                mr = mul[x]
-                srow = sub
-                v = [srow[a][mr[b]] for a, b in zip(v, row)]
-        return False
+BLOCK = 4096  # m-tuples per kernel call; bounds the kernel's scratch memory
 
-    frontier = [m for m in mats if insert(m)]
-    while frontier and dim < dim2:
-        nxt = []
-        for e in frontier:
-            if dim == dim2:
-                break
-            for g in mats:
-                prod = _matmul(e, g, n, add, mul)
-                if insert(prod):
-                    nxt.append(prod)
-                prod = _matmul(g, e, n, add, mul)
-                if insert(prod):
-                    nxt.append(prod)
-        frontier = nxt
-    return dim == dim2
+
+@lru_cache(maxsize=None)
+def _field_arrays(q: int):
+    """(shift, add, sub, mul, inv) of SmallField(q) as flat numpy tables."""
+    shift = max(1, (q - 1).bit_length())
+    if shift > 8:
+        raise DomainError("the batched census supports q <= 256")
+    F = small_field(q)
+    dtype = np.uint8 if shift <= 4 else np.uint16
+
+    def flat(table):
+        out = np.zeros(1 << (2 * shift), dtype)
+        for a in range(q):
+            out[a << shift:(a << shift) + q] = table[a]
+        return out
+
+    inv = np.zeros(1 << shift, dtype)
+    inv[1:q] = F.inv_t[1:]
+    return shift, flat(F.add_t), flat(F.sub_t), flat(F.mul_t), inv
+
+
+def _digits(ids, base: int, count: int, dtype):
+    """Base-`base` digits of int64 ids, most significant first:
+    (count, len(ids)).  A tuple id in [0, N^m) splits into its m matrix ids
+    with base N; a matrix id splits into its entries with base q."""
+    out = np.empty((count, len(ids)), dtype)
+    for i in range(count - 1, -1, -1):
+        ids, out[i] = np.divmod(ids, base)
+    return out
+
+
+def _tuple_block(comps, q: int, n: int):
+    """Matrix ids (m, B) as a (n*n, m, B) generator array of field indices.
+
+    A matrix id's base-q digits are its entries in row-major order, which is
+    the order of _all_mats."""
+    dtype = _field_arrays(q)[1].dtype
+    m, nt = comps.shape
+    d = n * n
+    digits = _digits(comps.reshape(-1), q, d, dtype)
+    return digits.reshape(d, m, nt)
+
+
+def _generates_block(gens, q: int, n: int):
+    """Generation mask of a block of m-tuples, gens shaped (n*n, m, B).
+
+    Span closure as a fixed point: level 0 inserts the generators, each
+    later level inserts the products of the rows the previous level added
+    with every generator on both sides.  A tuple stops when its rank is
+    n^2 or a level adds no row."""
+    shift, add, sub, mul, inv = _field_arrays(q)
+    d, m, nt = gens.shape
+    out = np.zeros(nt, bool)
+    if m == 0 or nt == 0:
+        return out
+    which = np.arange(nt)
+    basis = np.zeros((d, d, nt), gens.dtype)  # entry, pivot column, tuple
+    present = np.zeros((d, nt), bool)
+    cand = gens.copy()
+    while True:
+        added = _insert(cand, basis, present, shift, sub, mul, inv)
+        full = present.all(0)
+        out[which[full]] = True
+        keep = added.any(0) & ~full
+        if not keep.any():
+            return out
+        if not keep.all():
+            which, basis, present, added, gens = (
+                which[keep], basis[..., keep], present[:, keep],
+                added[:, keep], gens[..., keep])
+        cand = _products(_frontier(basis, added), gens, n, shift, add, mul)
+
+
+def _insert(cand, basis, present, shift, sub, mul, inv):
+    """Eliminate candidate rows (d, K, B) into the echelon bases; both are
+    overwritten.
+
+    basis[:, c] is the row with pivot column c (leading 1) where present[c];
+    returns the (d, B) mask of pivot columns that got a new row."""
+    d, _, nt = cand.shape
+    cols = np.arange(nt)
+    added = np.zeros((d, nt), bool)
+    for c in range(d):
+        col = cand[c]
+        nz = col != 0
+        new = nz.any(0) & ~present[c]
+        if new.any():
+            pick = cand[c:, nz.argmax(0), cols]
+            row = mul[(inv[pick[0]] << shift)[None] | pick]
+            basis[c:, c] = np.where(new, row, basis[c:, c])
+            present[c] |= new
+            added[c] = new
+        if c + 1 < d and present[c].any():
+            # column c of the candidates is never read again
+            prod = mul[(col << shift)[None] | basis[c + 1:, c, None]]
+            cand[c + 1:] = sub[(cand[c + 1:] << shift) | prod]
+    return added
+
+
+def _frontier(basis, added):
+    """The rows added at this level, packed to (d, F, B); F is the most any
+    tuple added, and a tuple with fewer gets zero rows."""
+    width = int(added.sum(0).max())
+    order = np.argsort(~added, axis=0, kind="stable")[:width]
+    rows = np.take_along_axis(basis, order[None], axis=1)
+    return np.where(np.take_along_axis(added, order, axis=0), rows, 0)
+
+
+def _products(front, gens, n: int, shift, add, mul):
+    """e g and g e for every frontier row e and generator g: (d, 2 F m, B)."""
+    d, f, nt = front.shape
+    m = gens.shape[1]
+    out = np.empty((d, 2, f, m, nt), front.dtype)
+    e, g = front[:, :, None], gens[:, None]
+    for side, (x, y) in enumerate(((e, g), (g, e))):
+        xs = x << shift
+        for i in range(n):
+            for j in range(n):
+                acc = mul[xs[i * n] | y[j]]
+                for k in range(1, n):
+                    acc = add[(acc << shift) | mul[xs[i * n + k] | y[k * n + j]]]
+                out[i * n + j, side] = acc
+    return out.reshape(d, 2 * f * m, nt)
 
 
 # F_2, n = 2: matrices are 4-bit masks, vector = matrix, span via XOR basis.
@@ -234,24 +333,34 @@ def _count_range(q: int, n: int, m: int, lo: int, hi: int) -> int:
                 if _generates_f2((first,) + rest):
                     count += 1
         return count
-    F = small_field(q)
-    mats = _all_mats(q, n)
+    N = q ** (n * n)
+    stop = hi * N ** (m - 1)
     count = 0
-    for first in range(lo, hi):
-        head = mats[first]
-        for rest in itertools.product(mats, repeat=m - 1):
-            if _generates((head,) + rest, n, F):
-                count += 1
+    for start in range(lo * N ** (m - 1), stop, BLOCK):
+        ids = np.arange(start, min(start + BLOCK, stop), dtype=np.int64)
+        gens = _tuple_block(_digits(ids, N, m, np.int64), q, n)
+        count += int(_generates_block(gens, q, n).sum())
     return count
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        env = os.environ.get("MATGEN_THREADS")
-        if env:
-            return max(1, int(env))
+def resolve_threads(threads: Optional[int]) -> int:
+    """Worker count: a positive threads as given; None or 0 defers to
+    MATGEN_THREADS, then to the machine's core count."""
+    if threads:
+        if threads < 0:
+            raise DomainError(f"threads must be positive, got {threads}")
+        return threads
+    env = os.environ.get("MATGEN_THREADS")
+    if not env:
         return os.cpu_count() or 1
-    return max(1, int(threads))
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise DomainError(f"MATGEN_THREADS must be a positive integer, got {env!r}")
+    return int(env)
+
+
+def _require_field(q: int) -> None:
+    if not is_prime_power(q):
+        raise DomainError(f"{q} is not a prime power")
 
 
 @dataclass(frozen=True)
@@ -298,6 +407,7 @@ def count_generating_bruteforce(q: int, n: int, m: int,
     """
     if n < 2:
         raise DomainError("use n1_census_report for 1x1 censuses")
+    _require_field(q)
     if m < 0:
         raise DomainError("m must be >= 0")
     ambient = q ** (m * n * n)
@@ -309,7 +419,7 @@ def count_generating_bruteforce(q: int, n: int, m: int,
         return CensusResult(q, n, m, ambient, 0, pgl, 0,
                             time.perf_counter() - start)
     N = q ** (n * n)
-    workers = _resolve_threads(threads)
+    workers = resolve_threads(threads)
     if workers == 1:
         total = _count_range(q, n, m, 0, N)
     else:
@@ -398,29 +508,36 @@ def orbit_count(q: int, n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> i
     """
     if n < 2:
         raise DomainError("orbit census needs n >= 2")
+    _require_field(q)
+    if m < 0:
+        raise DomainError("m must be >= 0")
     ambient = q ** (m * n * n)
     if ambient > cap:
         raise DomainError(f"ambient count {ambient} exceeds cap {cap}")
-    F = small_field(q)
-    mats = _all_mats(q, n)
     perms = _pgl_conj_perms(q, n)
-    N = len(mats)
-    use_f2 = q == 2 and n == 2
     canonical = 0
     generating = 0
-    for tup in itertools.product(range(N), repeat=m):
-        if use_f2:
-            ok = _generates_f2(tup)
-        else:
-            ok = _generates(tuple(mats[i] for i in tup), n, F)
-        if not ok:
-            continue
+    for tup in _generating_tuples(q, n, m):
         generating += 1
         if all(tuple(p[i] for i in tup) >= tup for p in perms):
             canonical += 1
     if canonical * pgl_order(q, n) != generating:
         raise RuntimeError("orbit sizes disagree with the free action; bug")
     return canonical
+
+
+def _generating_tuples(q: int, n: int, m: int):
+    """The generating m-tuples of matrix ids, in lexicographic order."""
+    N = q ** (n * n)
+    if q == 2 and n == 2:
+        yield from filter(_generates_f2, itertools.product(range(N), repeat=m))
+        return
+    total = N ** m
+    for start in range(0, total, BLOCK):
+        ids = np.arange(start, min(start + BLOCK, total), dtype=np.int64)
+        comps = _digits(ids, N, m, np.int64)
+        ok = _generates_block(_tuple_block(comps, q, n), q, n)
+        yield from zip(*comps[:, ok].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +550,7 @@ def gen_value_2x2(q: int, m: int) -> int:
     Closed form (q^{4m-1} + q^{2m} - q^{3m} - q^{3m-1}) / (q^2 - 1); equals
     the m-tuple census divided by |PGL_2(F_q)|.
     """
+    _require_field(q)
     if m < 2:
         raise DomainError("formula holds for m >= 2")
     num = q ** (4 * m - 1) + q ** (2 * m) - q ** (3 * m) - q ** (3 * m - 1)
@@ -447,6 +565,7 @@ def gen_numerator_2x2(q: int, m: int) -> int:
     Inclusion-exclusion over the maximal subalgebras:
     q^{4m} - q^m - (q+1)(q^{3m} - q^m) + q(q^{2m} - q^m).
     """
+    _require_field(q)
     if m < 2:
         raise DomainError("formula holds for m >= 2")
     return (q ** (4 * m) - q**m
@@ -469,6 +588,7 @@ def gen_value_1x1(q: int, m: int, convention: str = "projective") -> int:
 
 def asymptotic_upper_bound(q: int, n: int, m: int) -> Fraction:
     """(q-1) q^{(m-1)n^2} prod_{k=1..n} (1 - q^{-k})^{-1}, exact."""
+    _require_field(q)
     out = Fraction(q - 1) * Fraction(q) ** ((m - 1) * n * n)
     for k in range(1, n + 1):
         out *= Fraction(q**k, q**k - 1)
@@ -716,6 +836,9 @@ def sample_generation_probability(q: int, n: int, m: int,
     samples=None computes the exact value from the census; otherwise a
     seeded, reproducible sample estimate is returned.
     """
+    _require_field(q)
+    if m < 0:
+        raise DomainError("m must be >= 0")
     if m == 0:
         return Fraction(0)
     if samples is None:
@@ -723,15 +846,18 @@ def sample_generation_probability(q: int, n: int, m: int,
         return Fraction(res.generating_count, res.ambient_count)
     import random
 
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
+    N = q ** (n * n)
+    if N > 2**63:
+        raise DomainError("sampling needs q^(n^2) <= 2^63")
     rng = random.Random(seed)
-    F = small_field(q)
-    mats = _all_mats(q, n)
-    N = len(mats)
+    ids = np.array([rng.randrange(N) for _ in range(samples * m)], np.int64)
+    comps = ids.reshape(samples, m).T
     hits = 0
-    for _ in range(samples):
-        tup = tuple(mats[rng.randrange(N)] for _ in range(m))
-        if _generates(tup, n, F):
-            hits += 1
+    for start in range(0, samples, BLOCK):
+        gens = _tuple_block(comps[:, start:start + BLOCK], q, n)
+        hits += int(_generates_block(gens, q, n).sum())
     return Fraction(hits, samples)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,9 +32,7 @@ class RunConfig:
         for p in self.prime_sample:
             if not is_prime(p):
                 raise DomainError(f"{p} in the prime sample is not prime")
-        if not self.threads:
-            env = os.environ.get("MATGEN_THREADS")
-            self.threads = int(env) if env else (os.cpu_count() or 1)
+        self.threads = census.resolve_threads(self.threads)
 
 
 def _parse_domain(text: str):
@@ -264,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker processes (default: machine parallelism, "
-                             "MATGEN_THREADS overrides)")
+                        help="worker processes (default 0: MATGEN_THREADS, "
+                             "else machine parallelism)")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 

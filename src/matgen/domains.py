@@ -31,6 +31,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _iroot(x: int, k: int) -> int:
+    """floor(x ** (1/k)) for x >= 0, by integer Newton steps from above."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def is_prime_power(q: int) -> bool:
+    """True iff q = p^k for a prime p and k >= 1.
+
+    The largest k with q a perfect k-th power leaves the only root that can
+    be prime, so one primality test on a root of at most sqrt(q) decides
+    every proper power."""
+    for k in range(q.bit_length() - 1, 0, -1):
+        r = _iroot(q, k)
+        if r ** k == q:
+            return is_prime(r)
+    return False
+
+
 class DomainError(ValueError):
     """Invalid domain construction or element outside its domain."""
 

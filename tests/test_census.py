@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from matgen.census import (
@@ -20,7 +22,15 @@ from matgen.census import (
     pgl_order,
     sample_generation_probability,
 )
+from matgen.census import (
+    _generates_block,
+    _tuple_block,
+    resolve_threads,
+    small_field,
+)
 from matgen.domains import DomainError
+from matgen.generation import closure_generates, shape_of
+from matgen.linalg import Mat
 
 
 # --- group orders and closed formulas ----------------------------------------
@@ -109,10 +119,84 @@ def test_orbit_counts():
     assert orbit_count(3, 2, 2) == 162
 
 
+def test_census_522_and_232():
+    res = count_generating_bruteforce(5, 2, 2, threads=1)
+    assert res.generating_count == gen_numerator_2x2(5, 2) == 300000
+    res = count_generating_bruteforce(2, 3, 2, threads=1)
+    assert (res.generating_count, res.gen_value) == (129024, 768)
+
+
+def test_census_rejects_bad_q_and_m():
+    for q in (-1, 0, 1, 6, 12):
+        with pytest.raises(DomainError):
+            count_generating_bruteforce(q, 2, 2)
+        with pytest.raises(DomainError):
+            orbit_count(q, 2, 1)
+    with pytest.raises(DomainError):
+        orbit_count(2, 2, -1)
+    with pytest.raises(DomainError):
+        count_generating_bruteforce(3, 2, -1)
+
+
+def _random_ids(rng, q, n, triangular):
+    """A matrix id; triangular ones keep the entries below the diagonal zero,
+    so tuples of them never generate."""
+    entries = [0 if triangular and i > j else rng.randrange(q)
+               for i in range(n) for j in range(n)]
+    return sum(e * q ** (n * n - 1 - k) for k, e in enumerate(entries))
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (5, 2), (9, 2), (17, 2),
+                                 (3, 3), (4, 3), (5, 3), (9, 3)])
+def test_batched_kernel_matches_closure(q, n):
+    F = small_field(q)
+    rng = random.Random(1000 * q + n)
+    for m in range(4):
+        tuples = [[_random_ids(rng, q, n, triangular=t % 3 == 0)
+                   for _ in range(m)] for t in range(24)]
+        comps = np.array(tuples, np.int64).reshape(len(tuples), m).T
+        got = _generates_block(_tuple_block(comps, q, n), q, n)
+        for ids, verdict in zip(tuples, got):
+            mats = []
+            for i in ids:
+                digits = [(i // q ** (n * n - 1 - k)) % q for k in range(n * n)]
+                rows = tuple(tuple(F.values[digits[r * n + c]] for c in range(n))
+                             for r in range(n))
+                mats.append((Mat(F.domain, n, rows),))
+            want = closure_generates(mats, shape_of(n), include_identity=False,
+                                     field=F.domain).verdict
+            assert bool(verdict) == want, (q, n, ids)
+        if m >= 2:
+            assert got.any() and not got.all()
+
+
+def test_resolve_threads(monkeypatch):
+    monkeypatch.delenv("MATGEN_THREADS", raising=False)
+    assert resolve_threads(3) == 3
+    assert resolve_threads(None) == resolve_threads(0) >= 1
+    monkeypatch.setenv("MATGEN_THREADS", "5")
+    assert resolve_threads(None) == 5 and resolve_threads(2) == 2
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("MATGEN_THREADS", bad)
+        with pytest.raises(DomainError):
+            resolve_threads(None)
+    with pytest.raises(DomainError):
+        resolve_threads(-1)
+
+
 # --- bounds and series ---------------------------------------------------------
 
 def test_bound_example_value():
     assert asymptotic_upper_bound(2, 2, 2) == Fraction(128, 3)
+
+
+def test_formulas_reject_non_prime_powers():
+    for q in (-4, 0, 1, 6, 10, 12, 36):
+        for fn in (gen_value_2x2, gen_numerator_2x2):
+            with pytest.raises(DomainError):
+                fn(q, 2)
+        with pytest.raises(DomainError):
+            asymptotic_upper_bound(q, 2, 2)
 
 
 def test_bound_is_strict_on_small_grid():
@@ -217,6 +301,24 @@ def test_sampling_exact_and_seeded():
     a = sample_generation_probability(3, 2, 2, samples=500, seed=42)
     b = sample_generation_probability(3, 2, 2, samples=500, seed=42)
     assert a == b
+
+
+def test_sampling_seeded_values():
+    # the sampler draws the same tuples from the same random.Random stream
+    cases = {(2, 2, 2, 500, 42): Fraction(211, 500),
+             (3, 2, 2, 500, 42): Fraction(14, 25),
+             (2, 2, 2, 10_000, 1): Fraction(1877, 5000),
+             (9, 2, 2, 10_000, 1): Fraction(8823, 10000),
+             (4, 2, 3, 2000, 5): Fraction(1853, 2000),
+             (8, 2, 2, 2000, 3): Fraction(869, 1000),
+             (3, 3, 2, 300, 7): Fraction(58, 75),
+             (16, 2, 1, 500, 2): Fraction(0)}
+    for (q, n, m, samples, seed), want in cases.items():
+        assert sample_generation_probability(q, n, m, samples=samples,
+                                             seed=seed) == want
+    for q, m, samples in ((6, 2, 10), (2, -1, 10), (2, 2, 0)):
+        with pytest.raises(DomainError):
+            sample_generation_probability(q, 2, m, samples=samples)
 
 
 def test_sampling_monotone_in_q():

@@ -120,6 +120,17 @@ def test_count_mode_validation():
                  "--mode", "formula"]) == 2
 
 
+def test_count_and_bound_refuse_bad_q(capsys):
+    for argv in (["count", "--q", "1", "--m", "2", "--mode", "brute"],
+                 ["count", "--q", "6", "--m", "2", "--mode", "formula"],
+                 ["count", "--q", "0", "--m", "2", "--mode", "all"],
+                 ["bound", "--q", "6", "--m", "2"],
+                 ["bound", "--q", "0", "--m", "2"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "not a prime power" in captured.err and captured.out == ""
+
+
 def test_relations_command(capsys):
     assert main(["relations", "--n", "5", "--domain", "q"]) == 0
     assert main(["relations", "--n", "3", "--domain", "f2"]) == 0
@@ -153,3 +164,10 @@ def test_threads_env_override(monkeypatch, capsys):
     assert main(["--threads", "0", "count", "--q", "2", "--n", "2",
                  "--m", "2", "--mode", "brute"]) == 0
     assert "96" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_threads_env_invalid_exits_two(monkeypatch, capsys, value):
+    monkeypatch.setenv("MATGEN_THREADS", value)
+    assert main(["count", "--q", "2", "--m", "2", "--mode", "formula"]) == 2
+    assert "MATGEN_THREADS" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from matgen.domains import (
     PrimeField,
     build_ext_field,
     field_of_order,
+    is_prime_power,
     quadratic_extension,
 )
 
@@ -17,6 +18,15 @@ from matgen.domains import (
 def test_degree_one_extension_is_the_prime_field():
     assert build_ext_field(2, 1) == PrimeField(2)
     assert build_ext_field(13, 1) == PrimeField(13)
+
+
+def test_is_prime_power():
+    powers = [q for q in range(-2, 130) if is_prime_power(q)]
+    assert powers == [q for q in range(2, 130)
+                      if len({p for p in range(2, q + 1)
+                              if q % p == 0 and all(p % d for d in range(2, p))}) == 1]
+    assert is_prime_power(3**40) and is_prime_power(2**89)
+    assert not is_prime_power(6**10) and not is_prime_power(3**40 * 5)
 
 
 def test_least_irreducible_moduli():
