@@ -6,12 +6,12 @@ catalog of M_2(F_q) with the complement-count oracle, and exact evaluators
 for every closed formula and bound used downstream.
 
 The enumeration engine numbers matrices by integer ids over a table-driven
-field.  Over F_q it decides a block of m-tuples at once with a batched numpy
-span closure: per-tuple echelon bases of uint8 field indices, grown level by
+field.  It decides a block of m-tuples at once with a batched numpy span
+closure: per-tuple echelon bases of uint8 field indices, grown level by
 level from the products of the newly added rows with the generators until a
 tuple reaches rank n^2 or a level adds nothing.  Memory grows with the block
-size and n, not with the number of matrices.  Tuples of 2x2 matrices over
-F_2 are plain bit masks with a precomputed 16x16 multiplication table.
+size and n, not with the number of matrices.  A bit-mask closure for 2x2
+matrices over F_2 stays as an independent reference.
 """
 
 from __future__ import annotations
@@ -183,35 +183,39 @@ def _digits(ids, base: int, count: int, dtype):
     return out
 
 
-def _tuple_block(comps, q: int, n: int):
-    """Matrix ids (m, B) as a (n*n, m, B) generator array of field indices.
+def _block_verdicts(q: int, n: int, m: int, lo: int, hi: int):
+    """Yield (comps, ok) per block of the m-tuples with ids in [lo, hi):
+    comps (m, B) holds their matrix ids and ok their generation mask."""
+    N = q ** (n * n)
+    for start in range(lo, hi, BLOCK):
+        ids = np.arange(start, min(start + BLOCK, hi), dtype=np.int64)
+        comps = _digits(ids, N, m, np.int64)
+        yield comps, _generates_block(comps, q, n)
+
+
+def _generates_block(comps, q: int, n: int):
+    """Generation mask of a block of m-tuples of matrix ids, comps (m, B).
 
     A matrix id's base-q digits are its entries in row-major order, which is
-    the order of _all_mats."""
-    dtype = _field_arrays(q)[1].dtype
+    the order of _all_mats.  Span closure as a fixed point: level 0 inserts
+    the generators, each later level inserts the products e g of the rows e
+    the previous level added with every generator g.  Right products
+    suffice: if W_k is the span of the words of length <= k and F the rows
+    added to reach it, then W_{k+1} = W_k + W_k G = W_k + F G, since
+    W_{k-1} G lies in W_k.  A tuple stops when its rank is n^2 or a level
+    adds no row."""
+    shift, add, sub, mul, inv = _field_arrays(q)
     m, nt = comps.shape
     d = n * n
-    digits = _digits(comps.reshape(-1), q, d, dtype)
-    return digits.reshape(d, m, nt)
-
-
-def _generates_block(gens, q: int, n: int):
-    """Generation mask of a block of m-tuples, gens shaped (n*n, m, B).
-
-    Span closure as a fixed point: level 0 inserts the generators, each
-    later level inserts the products of the rows the previous level added
-    with every generator on both sides.  A tuple stops when its rank is
-    n^2 or a level adds no row."""
-    shift, add, sub, mul, inv = _field_arrays(q)
-    d, m, nt = gens.shape
     out = np.zeros(nt, bool)
     if m == 0 or nt == 0:
         return out
+    gens = _digits(comps.reshape(-1), q, d, add.dtype).reshape(d, m, nt)
     which = np.arange(nt)
     basis = np.zeros((d, d, nt), gens.dtype)  # entry, pivot column, tuple
     present = np.zeros((d, nt), bool)
     cand = gens.copy()
-    while True:
+    for level in itertools.count():
         added = _insert(cand, basis, present, shift, sub, mul, inv)
         full = present.all(0)
         out[which[full]] = True
@@ -222,7 +226,9 @@ def _generates_block(gens, q: int, n: int):
             which, basis, present, added, gens = (
                 which[keep], basis[..., keep], present[:, keep],
                 added[:, keep], gens[..., keep])
-        cand = _products(_frontier(basis, added), gens, n, shift, add, mul)
+        # the generators span the rows that level 0 added
+        front = gens if level == 0 else _frontier(basis, added)
+        cand = _products(front, gens, n, shift, add, mul)
 
 
 def _insert(cand, basis, present, shift, sub, mul, inv):
@@ -261,23 +267,23 @@ def _frontier(basis, added):
 
 
 def _products(front, gens, n: int, shift, add, mul):
-    """e g and g e for every frontier row e and generator g: (d, 2 F m, B)."""
+    """e g for every frontier row e and generator g: (d, F m, B)."""
     d, f, nt = front.shape
     m = gens.shape[1]
-    out = np.empty((d, 2, f, m, nt), front.dtype)
-    e, g = front[:, :, None], gens[:, None]
-    for side, (x, y) in enumerate(((e, g), (g, e))):
-        xs = x << shift
-        for i in range(n):
-            for j in range(n):
-                acc = mul[xs[i * n] | y[j]]
-                for k in range(1, n):
-                    acc = add[(acc << shift) | mul[xs[i * n + k] | y[k * n + j]]]
-                out[i * n + j, side] = acc
-    return out.reshape(d, 2 * f * m, nt)
+    out = np.empty((d, f, m, nt), front.dtype)
+    es, g = front[:, :, None] << shift, gens[:, None]
+    for i in range(n):
+        for j in range(n):
+            acc = mul[es[i * n] | g[j]]
+            for k in range(1, n):
+                acc = add[(acc << shift) | mul[es[i * n + k] | g[k * n + j]]]
+            out[i * n + j] = acc
+    return out.reshape(d, f * m, nt)
 
 
 # F_2, n = 2: matrices are 4-bit masks, vector = matrix, span via XOR basis.
+# An independent closure the census no longer calls, kept as a reference
+# for checking census results.
 
 MUL2 = tuple(
     tuple(
@@ -325,22 +331,9 @@ def _generates_f2(mats) -> bool:
 
 def _count_range(q: int, n: int, m: int, lo: int, hi: int) -> int:
     """Generating tuples whose first component id lies in [lo, hi)."""
-    if q == 2 and n == 2:
-        ids = range(16)
-        count = 0
-        for first in range(lo, hi):
-            for rest in itertools.product(ids, repeat=m - 1):
-                if _generates_f2((first,) + rest):
-                    count += 1
-        return count
-    N = q ** (n * n)
-    stop = hi * N ** (m - 1)
-    count = 0
-    for start in range(lo * N ** (m - 1), stop, BLOCK):
-        ids = np.arange(start, min(start + BLOCK, stop), dtype=np.int64)
-        gens = _tuple_block(_digits(ids, N, m, np.int64), q, n)
-        count += int(_generates_block(gens, q, n).sum())
-    return count
+    rest = q ** (n * n * (m - 1))
+    return sum(int(ok.sum())
+               for _, ok in _block_verdicts(q, n, m, lo * rest, hi * rest))
 
 
 def resolve_threads(threads: Optional[int]) -> int:
@@ -528,15 +521,7 @@ def orbit_count(q: int, n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> i
 
 def _generating_tuples(q: int, n: int, m: int):
     """The generating m-tuples of matrix ids, in lexicographic order."""
-    N = q ** (n * n)
-    if q == 2 and n == 2:
-        yield from filter(_generates_f2, itertools.product(range(N), repeat=m))
-        return
-    total = N ** m
-    for start in range(0, total, BLOCK):
-        ids = np.arange(start, min(start + BLOCK, total), dtype=np.int64)
-        comps = _digits(ids, N, m, np.int64)
-        ok = _generates_block(_tuple_block(comps, q, n), q, n)
+    for comps, ok in _block_verdicts(q, n, m, 0, q ** (n * n * m)):
         yield from zip(*comps[:, ok].tolist())
 
 
@@ -852,12 +837,11 @@ def sample_generation_probability(q: int, n: int, m: int,
     if N > 2**63:
         raise DomainError("sampling needs q^(n^2) <= 2^63")
     rng = random.Random(seed)
-    ids = np.array([rng.randrange(N) for _ in range(samples * m)], np.int64)
-    comps = ids.reshape(samples, m).T
     hits = 0
     for start in range(0, samples, BLOCK):
-        gens = _tuple_block(comps[:, start:start + BLOCK], q, n)
-        hits += int(_generates_block(gens, q, n).sum())
+        size = min(BLOCK, samples - start)
+        ids = np.array([rng.randrange(N) for _ in range(size * m)], np.int64)
+        hits += int(_generates_block(ids.reshape(size, m).T, q, n).sum())
     return Fraction(hits, samples)
 
 

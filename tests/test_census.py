@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,7 @@ from matgen.census import (
 )
 from matgen.census import (
     _generates_block,
-    _tuple_block,
+    _generates_f2,
     resolve_threads,
     small_field,
 )
@@ -146,8 +148,8 @@ def _random_ids(rng, q, n, triangular):
     return sum(e * q ** (n * n - 1 - k) for k, e in enumerate(entries))
 
 
-@pytest.mark.parametrize("q,n", [(3, 2), (4, 2), (5, 2), (9, 2), (17, 2),
-                                 (3, 3), (4, 3), (5, 3), (9, 3)])
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (5, 2), (9, 2),
+                                 (17, 2), (2, 3), (3, 3), (4, 3), (5, 3), (9, 3)])
 def test_batched_kernel_matches_closure(q, n):
     F = small_field(q)
     rng = random.Random(1000 * q + n)
@@ -155,7 +157,7 @@ def test_batched_kernel_matches_closure(q, n):
         tuples = [[_random_ids(rng, q, n, triangular=t % 3 == 0)
                    for _ in range(m)] for t in range(24)]
         comps = np.array(tuples, np.int64).reshape(len(tuples), m).T
-        got = _generates_block(_tuple_block(comps, q, n), q, n)
+        got = _generates_block(comps, q, n)
         for ids, verdict in zip(tuples, got):
             mats = []
             for i in ids:
@@ -168,6 +170,13 @@ def test_batched_kernel_matches_closure(q, n):
             assert bool(verdict) == want, (q, n, ids)
         if m >= 2:
             assert got.any() and not got.all()
+
+
+def test_batched_kernel_matches_f2_bit_masks():
+    # a 2x2 matrix over F_2 has the same id as a matrix and as a bit mask
+    pairs = list(itertools.product(range(16), repeat=2))
+    got = _generates_block(np.array(pairs, np.int64).T, 2, 2)
+    assert [bool(v) for v in got] == [_generates_f2(p) for p in pairs]
 
 
 def test_resolve_threads(monkeypatch):
@@ -197,6 +206,17 @@ def test_formulas_reject_non_prime_powers():
                 fn(q, 2)
         with pytest.raises(DomainError):
             asymptotic_upper_bound(q, 2, 2)
+
+
+def test_formulas_decide_large_prime_q_quickly():
+    # trial division up to sqrt(q) would take minutes on these
+    start = time.perf_counter()
+    for q in (2**61 - 1, 2**89 - 1):
+        assert gen_value_2x2(q, 2) == q**4 * (q - 1)
+        assert asymptotic_upper_bound(q, 2, 2) > 0
+    with pytest.raises(DomainError):
+        gen_numerator_2x2((2**61 - 1) * (2**31 - 1), 2)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_bound_is_strict_on_small_grid():

@@ -10,8 +10,13 @@ from matgen.domains import (
     PrimeField,
     build_ext_field,
     field_of_order,
+    is_prime,
     is_prime_power,
     quadratic_extension,
+)
+from matgen.domains import (
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
 )
 
 
@@ -27,6 +32,45 @@ def test_is_prime_power():
                               if q % p == 0 and all(p % d for d in range(2, p))}) == 1]
     assert is_prime_power(3**40) and is_prime_power(2**89)
     assert not is_prime_power(6**10) and not is_prime_power(3**40 * 5)
+
+
+def _sieve(limit):
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for i in range(2, int(limit**0.5) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytearray(len(flags[i * i::i]))
+    return flags
+
+
+def test_is_prime_matches_a_sieve():
+    flags = _sieve(100_000)
+    assert [n for n in range(-3, 100_000) if is_prime(n)] == \
+        [n for n in range(100_000) if flags[n]]
+
+
+def test_is_prime_large_and_adversarial():
+    # Mersenne primes on both sides of the exact Miller-Rabin bound
+    for k in (61, 89, 107, 127):
+        assert is_prime(2**k - 1)
+    assert not is_prime(2**67 - 1) and not is_prime(2**83 - 1)
+    # strong pseudoprimes to the bases 2..37 and 2..41, a Carmichael
+    # number, a square of a prime and a product of two large primes
+    for n in (2047, 3215031751, 3825123056546413051,
+              318665857834031151167461, 3317044064679887385961981,
+              41041, (2**61 - 1) ** 2, (2**61 - 1) * (2**31 - 1)):
+        assert not is_prime(n)
+
+
+def test_bpsw_branch_matches_a_sieve():
+    flags = _sieve(30_000)
+    for n in range(45, 30_000, 2):
+        if n % 3 and n % 5:
+            assert (_strong_probable_prime(n, 2)
+                    and _strong_lucas_probable_prime(n)) == bool(flags[n])
+    # strong Lucas pseudoprimes (OEIS A217255) pass that half alone
+    assert all(_strong_lucas_probable_prime(n)
+               for n in (5459, 5777, 10877, 16109, 18971))
 
 
 def test_least_irreducible_moduli():
