@@ -282,8 +282,7 @@ def _products(front, gens, n: int, shift, add, mul):
 
 
 # F_2, n = 2: matrices are 4-bit masks, vector = matrix, span via XOR basis.
-# An independent closure the census no longer calls, kept as a reference
-# for checking census results.
+# An independent closure that the tests check census results against.
 
 MUL2 = tuple(
     tuple(
