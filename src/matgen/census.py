@@ -28,9 +28,13 @@ from typing import Optional
 import numpy as np
 
 from .domains import DomainError, field_of_order, is_prime_power
-from .linalg import kernel_basis, rref, subspace_intersection
+from .linalg import det_rows, kernel_basis, rref, subspace_intersection
 
 DEFAULT_ENUMERATION_CAP = 2**26
+# A census uses at most one worker process per this many ambient tuples:
+# starting a pool costs about 25 ms, which a two-worker split of a smaller
+# census does not win back.
+TUPLES_PER_WORKER = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +117,6 @@ class SmallField:
 
     def elements(self):
         return range(self.q)
-
-    def to_domain_value(self, a):
-        return self.values[a]
 
     def __repr__(self):
         return f"SmallField({self.q})"
@@ -395,7 +396,8 @@ def count_generating_bruteforce(q: int, n: int, m: int,
     """Exact count of generating m-tuples in M_n(F_q)^m by enumeration.
 
     Deterministic partitioned enumeration (by first component); the result
-    does not depend on the worker count.
+    does not depend on the worker count.  threads is an upper bound: small
+    censuses run in this process.
     """
     if n < 2:
         raise DomainError("use n1_census_report for 1x1 censuses")
@@ -411,7 +413,7 @@ def count_generating_bruteforce(q: int, n: int, m: int,
         return CensusResult(q, n, m, ambient, 0, pgl, 0,
                             time.perf_counter() - start)
     N = q ** (n * n)
-    workers = resolve_threads(threads)
+    workers = min(resolve_threads(threads), max(1, ambient // TUPLES_PER_WORKER))
     if workers == 1:
         total = _count_range(q, n, m, 0, N)
     else:
@@ -434,27 +436,6 @@ def _count_worker(args):
 # orbits
 
 
-def _det_small(x, n, F: SmallField):
-    if n == 2:
-        return F.sub_t[F.mul_t[x[0]][x[3]]][F.mul_t[x[1]][x[2]]]
-    rows = [list(x[i * n:(i + 1) * n]) for i in range(n)]
-    return _det_small_rows(rows, F)
-
-
-def _det_small_rows(rows, F):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = F.mul_t[rows[0][j]][_det_small_rows(minor, F)]
-        acc = F.add_t[acc][term] if j % 2 == 0 else F.sub_t[acc][term]
-    return acc
-
-
 def _inv_small(x, n, F: SmallField):
     aug = [list(x[i * n:(i + 1) * n]) + [1 if j == i else 0 for j in range(n)]
            for i in range(n)]
@@ -472,7 +453,7 @@ def _pgl_conj_perms(q: int, n: int):
     index = {mm: i for i, mm in enumerate(mats)}
     reps = {}
     for mm in mats:
-        if _det_small(mm, n, F) == 0:
+        if det_rows([mm[i * n:(i + 1) * n] for i in range(n)], F) == 0:
             continue
         lead = next(c for c in mm if c)
         ivl = F.inv_t[lead]
@@ -704,7 +685,7 @@ def enumerate_maximal_subalgebras(q: int) -> SubalgebraCatalog:
     irr_count = 0
     for mm in _all_mats(q, 2):
         tr = F.add_t[mm[0]][mm[3]]
-        dt = _det_small(mm, 2, F)
+        dt = det_rows((mm[:2], mm[2:]), F)
         # t^2 - tr*t + det has no roots in F_q
         if any(F.add_t[F.sub_t[mul[x][x]][mul[tr][x]]][dt] == 0
                for x in range(q)):

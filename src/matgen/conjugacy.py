@@ -27,6 +27,7 @@ from .linalg import (
     madd,
     mat,
     mmul,
+    reduce_mod,
     snf,
     unvectorize,
 )
@@ -211,17 +212,12 @@ def simultaneously_conjugate(tuple_a, tuple_b) -> Optional[Mat]:
     return w
 
 
-def _reduce_tuple_mod_p(t, p: int):
+def _modp_verdict(tuple_a, tuple_b, p: int) -> PrimeVerdict:
     from .generation import mat_tuple
 
     f = PrimeField(p)
-    return mat_tuple([mat(f, [[x for x in row] for row in a.rows]) for a in t.mats])
-
-
-def _modp_verdict(tuple_a, tuple_b, p: int) -> PrimeVerdict:
-    f = PrimeField(p)
-    a_p = _reduce_tuple_mod_p(tuple_a, p)
-    b_p = _reduce_tuple_mod_p(tuple_b, p)
+    a_p = mat_tuple([reduce_mod(a, p) for a in tuple_a.mats])
+    b_p = mat_tuple([reduce_mod(b, p) for b in tuple_b.mats])
     space = intertwiners(a_p, b_p)
     if a_p.mats == b_p.mats:
         return PrimeVerdict(p, space.dim, True, identity(f, tuple_a.n))

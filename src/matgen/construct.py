@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .domains import QQ, ZZ, DomainError, PrimeField
+from .domains import QQ, ZZ, DomainError
 from .generation import (
     DirectSumShape,
     closure_generates,
@@ -24,7 +24,7 @@ from .generation import (
     lattice_generates_MnZ,
     shape_of,
 )
-from .linalg import Mat, identity, is_zero_mat, mat, mmul, zero_mat
+from .linalg import Mat, identity, is_zero_mat, mat, mmul, reduce_mod, zero_mat
 
 STANDARD_XY = "standard-xy"
 GAP_PLUS_ONE = "gap-plus-one"
@@ -71,16 +71,11 @@ def verify_family(family: GeneratorFamily, prime_sample=(2, 3, 5)) -> bool:
         if not ok:
             return False
     for p in prime_sample:
-        if not closure_generates(_reduce_elements(family.generators, p),
-                                 family.shape).verdict:
+        reduced = [tuple(reduce_mod(a, p) for a in elem)
+                   for elem in family.generators]
+        if not closure_generates(reduced, family.shape).verdict:
             return False
     return True
-
-
-def _reduce_elements(generators, p: int):
-    f = PrimeField(p)
-    return [tuple(mat(f, [[x for x in row] for row in a.rows]) for a in elem)
-            for elem in generators]
 
 
 def _emit(shape, generators, provenance, scalars=()) -> GeneratorFamily:

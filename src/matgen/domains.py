@@ -125,8 +125,8 @@ def _iroot(x: int, k: int) -> int:
         r = s
 
 
-def is_prime_power(q: int) -> bool:
-    """True iff q = p^k for a prime p and k >= 1.
+def _prime_power(q: int):
+    """(p, k) with q = p^k, p prime and k >= 1, or None.
 
     The largest k with q a perfect k-th power leaves the only root that can
     be prime, so one primality test on a root of at most sqrt(q) decides
@@ -134,8 +134,13 @@ def is_prime_power(q: int) -> bool:
     for k in range(q.bit_length() - 1, 0, -1):
         r = _iroot(q, k)
         if r ** k == q:
-            return is_prime(r)
-    return False
+            return (r, k) if is_prime(r) else None
+    return None
+
+
+def is_prime_power(q: int) -> bool:
+    """True iff q = p^k for a prime p and k >= 1."""
+    return _prime_power(q) is not None
 
 
 class DomainError(ValueError):
@@ -540,17 +545,10 @@ def build_ext_field(p: int, k: int):
 @lru_cache(maxsize=None)
 def field_of_order(q: int):
     """The field with q = p^k elements (deterministic modulus)."""
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            k = 0
-            n = q
-            while n > 1:
-                if n % p:
-                    raise DomainError(f"{q} is not a prime power")
-                n //= p
-                k += 1
-            return build_ext_field(p, k)
-    raise DomainError(f"{q} is not a prime power")
+    pk = _prime_power(q)
+    if pk is None:
+        raise DomainError(f"{q} is not a prime power")
+    return build_ext_field(*pk)
 
 
 @lru_cache(maxsize=None)

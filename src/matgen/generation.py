@@ -14,6 +14,7 @@ from . import conjugacy
 from .domains import DomainError, quadratic_extension
 from .linalg import (
     ALL_LINES,
+    Echelon,
     Mat,
     commutator,
     det,
@@ -102,42 +103,6 @@ class GenReport:
     eigen_witness: object = None
 
 
-class _Span:
-    """Incremental echelonized span of vectors over a field."""
-
-    def __init__(self, field, width: int):
-        self.field = field
-        self.width = width
-        self.rows = {}  # pivot index -> normalized row (list)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def insert(self, vec) -> bool:
-        """Reduce vec against the span; add it if independent."""
-        f = self.field
-        v = list(vec)
-        rows = self.rows
-        for piv in range(self.width):
-            x = v[piv]
-            if f.is_zero(x):
-                continue
-            row = rows.get(piv)
-            if row is None:
-                inv = f.inv(x)
-                norm = [f.mul(inv, y) for y in v]
-                for other_piv, other in rows.items():
-                    c = other[piv]
-                    if not f.is_zero(c):
-                        rows[other_piv] = [f.sub(a, f.mul(c, b))
-                                           for a, b in zip(other, norm)]
-                rows[piv] = norm
-                return True
-            v = [f.sub(a, f.mul(x, b)) for a, b in zip(v, row)]
-        return False
-
-
 def _element_vector(elem) -> tuple:
     out = []
     for a in elem:
@@ -179,7 +144,7 @@ def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
         raise DomainError("closure_generates requires a field domain")
     _validate_elements(S, shape, field)
     ambient = shape.total_dim
-    span = _Span(field, ambient)
+    span = Echelon(field)
     frontier = []
     if include_identity:
         ident = tuple(identity(field, n_i) for n_i in shape.copy_sizes)

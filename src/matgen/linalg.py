@@ -9,9 +9,10 @@ Vectorization is row-major everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional, Sequence
 
-from .domains import DomainError, quadratic_extension
+from .domains import DomainError, PrimeField, quadratic_extension
 
 ALL_LINES = "all-lines"
 
@@ -97,11 +98,6 @@ def smul(c, a: Mat) -> Mat:
     return Mat(d, a.n, tuple(tuple(d.mul(c, x) for x in row) for row in a.rows))
 
 
-def mneg(a: Mat) -> Mat:
-    d = a.domain
-    return Mat(d, a.n, tuple(tuple(d.neg(x) for x in row) for row in a.rows))
-
-
 def mat_pow(a: Mat, e: int) -> Mat:
     out = identity(a.domain, a.n)
     for _ in range(e):
@@ -139,12 +135,19 @@ def commutator(a: Mat, b: Mat) -> Mat:
     return msub(mmul(a, b), mmul(b, a))
 
 
+def reduce_mod(a: Mat, p: int) -> Mat:
+    """The integer matrix a with its entries reduced into F_p."""
+    return mat(PrimeField(p), a.rows)
+
+
 def det(a: Mat):
     """Determinant over any commutative domain (Laplace; n stays tiny)."""
-    return _det_rows([list(r) for r in a.rows], a.domain)
+    return det_rows(a.rows, a.domain)
 
 
-def _det_rows(rows, d):
+def det_rows(rows, d):
+    """Determinant of the square matrix `rows` over any object with the
+    domain methods zero, is_zero, add, sub and mul."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -155,21 +158,62 @@ def _det_rows(rows, d):
         if d.is_zero(rows[0][j]):
             continue
         minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = d.mul(rows[0][j], _det_rows(minor, d))
+        term = d.mul(rows[0][j], det_rows(minor, d))
         acc = d.add(acc, term) if j % 2 == 0 else d.sub(acc, term)
-    return acc
-
-
-def trace(a: Mat):
-    d = a.domain
-    acc = d.zero()
-    for i in range(a.n):
-        acc = d.add(acc, a.rows[i][i])
     return acc
 
 
 # ---------------------------------------------------------------------------
 # echelon forms and kernels over a field
+
+
+class Echelon:
+    """Incremental reduced row echelon form of a span over a field.
+
+    rows maps each pivot column to its row, which is 1 at that column and 0
+    at every other pivot column.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def insert(self, vec) -> bool:
+        """Reduce vec against the span; add it if independent."""
+        f = self.field
+        rows = self.rows
+        v = list(vec)
+        for col, row in rows.items():
+            c = v[col]
+            if not f.is_zero(c):
+                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+        piv = next((j for j, x in enumerate(v) if not f.is_zero(x)), None)
+        if piv is None:
+            return False
+        inv = f.inv(v[piv])
+        norm = [f.mul(inv, y) for y in v]
+        for col, other in rows.items():
+            c = other[piv]
+            if not f.is_zero(c):
+                rows[col] = [f.sub(a, f.mul(c, b)) for a, b in zip(other, norm)]
+        rows[piv] = norm
+        return True
+
+
+def _echelon(rows, field) -> Echelon:
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise DomainError("ragged rows")
+    ech = Echelon(field)
+    for row in rows:
+        ech.insert(row)
+        if ech.dim == ncols:
+            break
+    return ech
 
 
 def rref(rows, field):
@@ -178,39 +222,10 @@ def rref(rows, field):
     Returns (basis, rank): the nonzero echelonized rows spanning the same
     subspace, pivots normalized to 1.
     """
-    work = [list(r) for r in rows]
-    if not work:
+    if not rows:
         return [], 0
-    ncols = len(work[0])
-    for row in work:
-        if len(row) != ncols:
-            raise DomainError("ragged rows")
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if not field.is_zero(work[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not field.is_zero(work[i][c]):
-                f = work[i][c]
-                work[i] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    basis = [tuple(row) for row in work[:r]]
-    return basis, r
-
-
-def rank(rows, field) -> int:
-    return rref(rows, field)[1]
+    ech = _echelon(rows, field)
+    return [tuple(ech.rows[col]) for col in sorted(ech.rows)], ech.dim
 
 
 def kernel_basis(rows, field, ncols: Optional[int] = None):
@@ -221,79 +236,55 @@ def kernel_basis(rows, field, ncols: Optional[int] = None):
         one, zero = field.one(), field.zero()
         return [tuple(one if i == j else zero for j in range(ncols))
                 for i in range(ncols)]
+    ech = _echelon(rows, field)
     c = len(rows[0])
-    basis, r = rref(rows, field)
-    pivots = []
-    for row in basis:
-        for j, x in enumerate(row):
-            if not field.is_zero(x):
-                pivots.append(j)
-                break
-    pivset = set(pivots)
-    free = [j for j in range(c) if j not in pivset]
     out = []
     one, zero = field.one(), field.zero()
-    for f in free:
+    for f in range(c):
+        if f in ech.rows:
+            continue
         v = [zero] * c
         v[f] = one
-        for row, pj in zip(basis, pivots):
+        for pj, row in ech.rows.items():
             v[pj] = field.neg(row[f])
         out.append(tuple(v))
     return out
-
-
-def solve_right(rows, rhs, field):
-    """One solution x of M x = b, or None if inconsistent (free vars = 0)."""
-    if not rows:
-        return None
-    c = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    basis, r = rref(aug, field)
-    x = [field.zero()] * c
-    for row in basis:
-        piv = next(j for j, v in enumerate(row) if not field.is_zero(v))
-        if piv == c:
-            return None
-        x[piv] = row[c]
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
 # characteristic polynomial (det(tI - A), exact over any domain)
 
 
-def _cp_poly_add(a, b, d):
-    n = max(len(a), len(b))
-    a = a + [d.zero()] * (n - len(a))
-    b = b + [d.zero()] * (n - len(b))
-    return [d.add(x, y) for x, y in zip(a, b)]
+class _PolyRing:
+    """Polynomials over a domain as coefficient lists, lowest degree first;
+    the part of the domain API that det_rows uses."""
 
+    def __init__(self, d):
+        self.d = d
 
-def _cp_poly_mul(a, b, d):
-    out = [d.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if d.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = d.add(out[i + j], d.mul(x, y))
-    return out
+    def zero(self):
+        return [self.d.zero()]
 
+    def is_zero(self, a) -> bool:
+        return all(self.d.is_zero(c) for c in a)
 
-def _cp_det(rows, d):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = [d.zero()]
-    for j in range(n):
-        entry = rows[0][j]
-        if all(d.is_zero(c) for c in entry):
-            continue
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = _cp_poly_mul(entry, _cp_det(minor, d), d)
-        if j % 2:
-            term = [d.neg(c) for c in term]
-        acc = _cp_poly_add(acc, term, d)
-    return acc
+    def add(self, a, b):
+        return [self.d.add(x, y)
+                for x, y in zip_longest(a, b, fillvalue=self.d.zero())]
+
+    def sub(self, a, b):
+        return [self.d.sub(x, y)
+                for x, y in zip_longest(a, b, fillvalue=self.d.zero())]
+
+    def mul(self, a, b):
+        d = self.d
+        out = [d.zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if d.is_zero(x):
+                continue
+            for j, y in enumerate(b):
+                out[i + j] = d.add(out[i + j], d.mul(x, y))
+        return out
 
 
 def char_poly(a: Mat) -> tuple:
@@ -310,7 +301,7 @@ def char_poly(a: Mat) -> tuple:
             lin = d.one() if i == j else d.zero()
             row.append([const, lin])
         rows.append(row)
-    coeffs = _cp_det(rows, d)
+    coeffs = det_rows(rows, _PolyRing(d))
     coeffs = coeffs + [d.zero()] * (n + 1 - len(coeffs))
     return tuple(coeffs)
 
@@ -540,19 +531,20 @@ def integer_kernel_saturated(rows, ncols: int):
 
 
 def subspace_intersection(basis_u, basis_w, field):
-    """Basis of the intersection of two row spans over a field."""
+    """Basis (in RREF) of the intersection of two row spans over a field.
+
+    Zassenhaus: in the echelon form of the rows (u|u) and (w|0), the rows
+    that are zero on the left half have right halves spanning the
+    intersection.
+    """
     if not basis_u or not basis_w:
         return []
-    stacked = list(basis_u) + list(basis_w)
-    left_null = kernel_basis([tuple(col) for col in zip(*stacked)], field,
-                             ncols=len(stacked))
-    out = []
-    d = field
     width = len(basis_u[0])
-    for vec in left_null:
-        comb = [d.zero()] * width
-        for c, row in zip(vec[:len(basis_u)], basis_u):
-            comb = [d.add(x, d.mul(c, y)) for x, y in zip(comb, row)]
-        out.append(tuple(comb))
-    basis, _ = rref(out, field)
-    return basis
+    zeros = (field.zero(),) * width
+    ech = Echelon(field)
+    for u in basis_u:
+        ech.insert(tuple(u) + tuple(u))
+    for w in basis_w:
+        ech.insert(tuple(w) + zeros)
+    return [tuple(ech.rows[col][width:]) for col in sorted(ech.rows)
+            if col >= width]

@@ -47,11 +47,17 @@ def tuplefile_from_json(data: dict) -> TupleFile:
         domain = domain_from_json(data["coeff"])
         shape = DirectSumShape(tuple((int(n_i), int(m_i))
                                      for n_i, m_i in data["shape"]))
+        elems = data["generators"]
+        if not elems:
+            raise DomainError("no generators in file")
+        # the shape may name far more copies than the document holds, so
+        # its copy list is built only after the lengths agree
+        copies = sum(m_i for _, m_i in shape.blocks)
+        if any(len(elem) != copies for elem in elems):
+            raise DomainError("generator does not match the shape")
         sizes = shape.copy_sizes
         generators = []
-        for elem in data["generators"]:
-            if len(elem) != len(sizes):
-                raise DomainError("generator does not match the shape")
+        for elem in elems:
             mats = []
             for rows, n_i in zip(elem, sizes):
                 if len(rows) != n_i or any(len(r) != n_i for r in rows):
@@ -60,8 +66,6 @@ def tuplefile_from_json(data: dict) -> TupleFile:
                                 tuple(tuple(domain.parse_elem(x) for x in row)
                                       for row in rows)))
             generators.append(tuple(mats))
-        if not generators:
-            raise DomainError("no generators in file")
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed tuple file: {exc}") from exc
     return TupleFile(domain=domain, shape=shape, generators=tuple(generators))

@@ -15,14 +15,14 @@ from typing import Optional, Sequence
 
 from .census import gen_value_2x2
 from .conjugacy import nonconjugate_all_primes
-from .domains import ZZ, DomainError, PrimeField
+from .domains import ZZ, DomainError
 from .generation import (
     DirectSumShape,
     closure_generates,
     lattice_generates_MnZ,
     mat_tuple,
 )
-from .linalg import commutator, det, mat, smul
+from .linalg import commutator, det, reduce_mod, smul
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,6 @@ class ZGenVerdict:
             ],
             "overall": self.overall,
         }
-
-
-def _reduce_mod_p(generators, p: int):
-    f = PrimeField(p)
-    return [tuple(mat(f, [[x for x in row] for row in a.rows]) for a in elem)
-            for elem in generators]
 
 
 def verify_z_tuples(generators: Sequence, prime_sample=(2, 3, 5)) -> ZGenVerdict:
@@ -120,7 +114,8 @@ def verify_z_tuples(generators: Sequence, prime_sample=(2, 3, 5)) -> ZGenVerdict
     shape = DirectSumShape(((2, m),))
     direct = []
     for p in prime_sample:
-        rep = closure_generates(_reduce_mod_p(elems, p), shape)
+        rep = closure_generates(
+            [tuple(reduce_mod(a, p) for a in elem) for elem in elems], shape)
         direct.append((p, rep.closure_dim, rep.ambient_dim, rep.verdict))
 
     overall = all_components_ok and all_pairs_ok
@@ -151,7 +146,8 @@ def verify_z_prime_sweep(generators: Sequence, primes=(2, 3, 5, 7, 11, 13)) -> d
     shape = DirectSumShape(tuple((n_i, m_i) for n_i, m_i in blocks))
     per_prime = []
     for p in primes:
-        rep = closure_generates(_reduce_mod_p(elems, p), shape)
+        rep = closure_generates(
+            [tuple(reduce_mod(a, p) for a in elem) for elem in elems], shape)
         per_prime.append({"p": p, "ok": rep.verdict,
                           "closure_dim": rep.closure_dim,
                           "ambient_dim": rep.ambient_dim})
@@ -186,7 +182,7 @@ def scaled_set_counterexample(p0: int, primes=(2, 3, 5, 7)) -> ScaledSetRecord:
     def dims(mats):
         out = []
         for p in test_primes:
-            rep = closure_generates(_reduce_mod_p([[a] for a in mats], p), shape)
+            rep = closure_generates([(reduce_mod(a, p),) for a in mats], shape)
             out.append((p, rep.closure_dim, rep.verdict))
         return tuple(out)
 

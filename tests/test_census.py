@@ -115,6 +115,30 @@ def test_census_thread_determinism():
         == baseline
 
 
+def test_census_pool_only_for_large_censuses(monkeypatch):
+    from matgen import census
+
+    want = count_generating_bruteforce(3, 2, 2, threads=1).generating_count
+    pool = census.ProcessPoolExecutor
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a small census started a process pool")
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", refuse)
+    assert count_generating_bruteforce(3, 2, 2, threads=2).generating_count \
+        == want
+    started = []
+
+    def record(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", record)
+    assert count_generating_bruteforce(4, 2, 2, threads=2).generating_count \
+        == gen_numerator_2x2(4, 2)
+    assert started == [2]
+
+
 def test_orbit_counts():
     assert orbit_count(2, 2, 2) == 16
     assert orbit_count(2, 2, 3) == 448

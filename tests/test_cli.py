@@ -64,6 +64,31 @@ def test_check_duplicated_cross_section_exits_one(tmp_path, capsys):
     assert "ConjugatePair" in data["tuple_criterion"]["failed_condition"]
 
 
+def test_check_runs_the_full_closure_once(tmp_path, monkeypatch, capsys):
+    from matgen import cli, generation
+    from matgen.construct import gap_plus_one
+
+    fam = gap_plus_one(standard_xy_family(2, PrimeField(3)))
+    shapes = []
+    closure = generation.closure_generates
+
+    def counted(S, shape, *args, **kwargs):
+        shapes.append(shape)
+        return closure(S, shape, *args, **kwargs)
+
+    monkeypatch.setattr(generation, "closure_generates", counted)
+    monkeypatch.setattr(cli, "closure_generates", counted)
+    path = tmp_path / "gap.json"
+    path.write_text(dumps(fam), encoding="utf-8")
+    assert main(["--json", "check", "--input", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["closure"] == {"verdict": True, "closure_dim": 8,
+                               "ambient_dim": 8}
+    assert data["tuple_criterion"]["verdict"] is True
+    # the other calls are the criterion's single-copy cross-sections
+    assert shapes.count(fam.shape) == 1
+
+
 def test_check_malformed_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken", encoding="utf-8")

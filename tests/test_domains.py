@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -170,3 +171,29 @@ def test_field_of_order_rejects_non_prime_powers():
         field_of_order(6)
     with pytest.raises(DomainError):
         field_of_order(12)
+    for q in (0, 1, 96):
+        with pytest.raises(DomainError):
+            field_of_order(q)
+
+
+def test_field_of_order_large_prime_is_quick():
+    for q in (1000000007, 2**61 - 1):
+        start = time.perf_counter()
+        assert field_of_order(q) == PrimeField(q)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_field_of_order_small_q():
+    for q in range(2, 300):
+        factors = [p for p in range(2, q + 1)
+                   if q % p == 0 and all(p % d for d in range(2, p))]
+        if len(factors) != 1:
+            continue
+        p, k = factors[0], 0
+        while p ** (k + 1) <= q:
+            k += 1
+        if k > 4:
+            with pytest.raises(DomainError):
+                field_of_order(q)
+        else:
+            assert field_of_order(q) == build_ext_field(p, k)

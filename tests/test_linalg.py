@@ -1,9 +1,18 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from matgen.domains import QQ, ZZ, PrimeField, build_ext_field, quadratic_extension
+from matgen.domains import (
+    QQ,
+    ZZ,
+    PrimeField,
+    build_ext_field,
+    field_of_order,
+    quadratic_extension,
+)
 from matgen.linalg import (
     ALL_LINES,
     Mat,
@@ -55,6 +64,41 @@ def test_rref_idempotent_and_rank_bounded():
         again, rank2 = rref(basis, F3)
         assert again == basis and rank2 == rank
         assert rank <= min(len(rows), 5)
+
+
+def _span(rows, field, width):
+    """Every F_q-combination of rows, by enumeration."""
+    out = set()
+    for coeffs in itertools.product(list(field.elements()), repeat=len(rows)):
+        vec = [field.zero()] * width
+        for c, row in zip(coeffs, rows):
+            vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, row)]
+        out.add(tuple(vec))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_rref_is_reduced_and_spans_the_input(q):
+    field = field_of_order(q)
+    elems = list(field.elements())
+    one, zero = field.one(), field.zero()
+    rng = random.Random(7 + q)
+    for _ in range(60):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [tuple(rng.choice(elems) for _ in range(c)) for _ in range(r)]
+        if rng.random() < 0.5:  # a dependent row
+            rows[-1] = tuple(field.add(x, y) for x, y in zip(rows[0], rows[-1]))
+        basis, rank = rref(rows, field)
+        assert rank == len(basis)
+        pivots = [next(j for j, x in enumerate(row) if x != zero)
+                  for row in basis]
+        assert pivots == sorted(set(pivots))
+        for row, pj in zip(basis, pivots):
+            assert row[pj] == one
+            assert all(other[pj] == zero for other in basis if other is not row)
+        span = _span(basis, field, c)
+        assert span == _span(rows, field, c)
+        assert len(span) == q ** rank
 
 
 def test_kernel_examples():
@@ -214,6 +258,53 @@ def test_subspace_intersection():
     w = [(0, 1, 0), (0, 0, 1)]
     inter = subspace_intersection(u, w, F3)
     assert inter == [(0, 1, 0)]
+
+
+def _pinned_outputs():
+    """rref, kernels, intersections, det and char_poly on seeded inputs over
+    F_2, F_3, F_5, F_7, F_4, F_8, F_9, F_16, Q and (det only) Z, some of
+    them rank-deficient."""
+    rng = random.Random(2024)
+    out = []
+    domains = [field_of_order(q) for q in (2, 3, 5, 7, 4, 8, 9, 16)] + [QQ]
+    for d in domains:
+        if d is QQ:
+            elems = [Fraction(x, y) for x in range(-3, 4) for y in (1, 2, 3)]
+        else:
+            elems = list(d.elements())
+        for _ in range(12):
+            r, c = rng.randint(1, 5), rng.randint(1, 5)
+            k = rng.randint(1, r)  # rows are combinations of k rows
+            gen = [[rng.choice(elems) for _ in range(c)] for _ in range(k)]
+            rows = []
+            for _ in range(r):
+                coef = [rng.choice(elems) for _ in range(k)]
+                row = [d.zero()] * c
+                for a, g in zip(coef, gen):
+                    row = [d.add(x, d.mul(a, y)) for x, y in zip(row, g)]
+                rows.append(tuple(row))
+            basis, rank = rref(rows, d)
+            w = [tuple(rng.choice(elems) for _ in range(c))
+                 for _ in range(rng.randint(1, c))]
+            out.append((basis, rank, kernel_basis(rows, d),
+                        subspace_intersection(basis, w, d)))
+        for n in (1, 2, 3, 4):
+            a = Mat(d, n, tuple(tuple(rng.choice(elems) for _ in range(n))
+                                for _ in range(n)))
+            out.append((det(a), char_poly(a)))
+    for n in (1, 2, 3, 4):
+        a = Mat(ZZ, n, tuple(tuple(rng.randint(-9, 9) for _ in range(n))
+                             for _ in range(n)))
+        out.append(det(a))
+    return out
+
+
+def test_outputs_pinned():
+    # digest of the outputs of the separate elimination, kernel,
+    # intersection, determinant and char-poly routines these replaced
+    digest = hashlib.sha256(repr(_pinned_outputs()).encode()).hexdigest()
+    assert digest == \
+        "7532c5a9aa6e2adafe80b47e634985734d8eeeff4a18d66086d7891587b34ff1"
 
 
 def test_vectorize_is_row_major():

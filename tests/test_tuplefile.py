@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from matgen.construct import scalar_family_generators, standard_xy_family, table16
@@ -62,3 +64,15 @@ def test_malformed_documents_rejected():
     with pytest.raises(DomainError):
         loads('{"coeff": {"kind": "prime_field", "p": 2}, "n": 2, '
               '"shape": [[2, 1]], "generators": []}')
+
+
+def test_huge_shape_refused_before_allocating():
+    doc = ('{"coeff": {"kind": "prime_field", "p": 2}, "n": 2, '
+           '"shape": [[2, 1000000000]], '
+           '"generators": [[[["1", "0"], ["0", "1"]]]]}')
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        loads(doc)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(DomainError):
+        loads(doc.replace('[[[["1", "0"], ["0", "1"]]]]', "[]"))
