@@ -38,93 +38,21 @@ TUPLES_PER_WORKER = 2**15
 
 
 # ---------------------------------------------------------------------------
-# table-driven finite field (q <= 16)
-
-
-class SmallField:
-    """F_q with elements 0..q-1 and full operation tables.
-
-    Index 0 is zero and index 1 is one; for extensions the index is the
-    base-p value of the coefficient vector (lowest degree first).  Exposes
-    the same method API as the domain classes, so the generic linear algebra
-    works on int vectors directly.
-    """
-
-    is_field = True
-
-    def __init__(self, q: int):
-        dom = field_of_order(q)
-        self.q = q
-        self.domain = dom
-        self.char = dom.char
-        if dom.kind == "prime_field":
-            self.values = list(range(q))
-            index = {v: v for v in self.values}
-        else:
-            p, k = dom.p, dom.k
-            self.values = [tuple((i // p**j) % p for j in range(k))
-                           for i in range(q)]
-            index = {v: i for i, v in enumerate(self.values)}
-        self.add_t = tuple(
-            tuple(index[dom.add(self.values[a], self.values[b])] for b in range(q))
-            for a in range(q))
-        self.sub_t = tuple(
-            tuple(index[dom.sub(self.values[a], self.values[b])] for b in range(q))
-            for a in range(q))
-        self.mul_t = tuple(
-            tuple(index[dom.mul(self.values[a], self.values[b])] for b in range(q))
-            for a in range(q))
-        self.neg_t = tuple(index[dom.neg(self.values[a])] for a in range(q))
-        self.inv_t = (None,) + tuple(index[dom.inv(self.values[a])]
-                                     for a in range(1, q))
-
-    @property
-    def size(self) -> int:
-        return self.q
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def convert(self, n: int):
-        # constants embed as index n mod p under the base-p value convention
-        return n % self.char
-
-    def add(self, a, b):
-        return self.add_t[a][b]
-
-    def sub(self, a, b):
-        return self.sub_t[a][b]
-
-    def mul(self, a, b):
-        return self.mul_t[a][b]
-
-    def neg(self, a):
-        return self.neg_t[a]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self.inv_t[a]
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def is_unit(self, a) -> bool:
-        return a != 0
-
-    def elements(self):
-        return range(self.q)
-
-    def __repr__(self):
-        return f"SmallField({self.q})"
+# operation tables of F_q for the enumeration loops
 
 
 @lru_cache(maxsize=None)
-def small_field(q: int) -> SmallField:
-    return SmallField(q)
+def _tables(q: int):
+    """(add, sub, mul, inv) of field_of_order(q) as nested tuples indexed by
+    elements; inv[0] is None.  The loops below index these: calling the
+    field's methods there made the PGL permutations 1.5 times slower."""
+    F = field_of_order(q)
+
+    def table(op):
+        return tuple(tuple(op(a, b) for b in range(q)) for a in range(q))
+
+    return (table(F.add), table(F.sub), table(F.mul),
+            (None,) + tuple(F.inv(a) for a in range(1, q)))
 
 
 @lru_cache(maxsize=None)
@@ -156,11 +84,11 @@ BLOCK = 4096  # m-tuples per kernel call; bounds the kernel's scratch memory
 
 @lru_cache(maxsize=None)
 def _field_arrays(q: int):
-    """(shift, add, sub, mul, inv) of SmallField(q) as flat numpy tables."""
+    """(shift, add, sub, mul, inv) of _tables(q) as flat numpy tables."""
     shift = max(1, (q - 1).bit_length())
     if shift > 8:
         raise DomainError("the batched census supports q <= 256")
-    F = small_field(q)
+    add_t, sub_t, mul_t, inv_t = _tables(q)
     dtype = np.uint8 if shift <= 4 else np.uint16
 
     def flat(table):
@@ -170,8 +98,8 @@ def _field_arrays(q: int):
         return out
 
     inv = np.zeros(1 << shift, dtype)
-    inv[1:q] = F.inv_t[1:]
-    return shift, flat(F.add_t), flat(F.sub_t), flat(F.mul_t), inv
+    inv[1:q] = inv_t[1:]
+    return shift, flat(add_t), flat(sub_t), flat(mul_t), inv
 
 
 def _digits(ids, base: int, count: int, dtype):
@@ -436,7 +364,7 @@ def _count_worker(args):
 # orbits
 
 
-def _inv_small(x, n, F: SmallField):
+def _inv_small(x, n, F):
     aug = [list(x[i * n:(i + 1) * n]) + [1 if j == i else 0 for j in range(n)]
            for i in range(n)]
     basis, r = rref(aug, F)
@@ -448,7 +376,8 @@ def _inv_small(x, n, F: SmallField):
 @lru_cache(maxsize=None)
 def _pgl_conj_perms(q: int, n: int):
     """Permutations of matrix ids induced by PGL conjugation M -> g^-1 M g."""
-    F = small_field(q)
+    F = field_of_order(q)
+    add, _, mul, inv = _tables(q)
     mats = _all_mats(q, n)
     index = {mm: i for i, mm in enumerate(mats)}
     reps = {}
@@ -456,8 +385,7 @@ def _pgl_conj_perms(q: int, n: int):
         if det_rows([mm[i * n:(i + 1) * n] for i in range(n)], F) == 0:
             continue
         lead = next(c for c in mm if c)
-        ivl = F.inv_t[lead]
-        canon = tuple(F.mul_t[ivl][c] for c in mm)
+        canon = tuple(mul[inv[lead]][c] for c in mm)
         if canon not in reps:
             reps[canon] = mm
     perms = []
@@ -465,8 +393,7 @@ def _pgl_conj_perms(q: int, n: int):
         gi = _inv_small(g, n, F)
         perm = [0] * len(mats)
         for i, mm in enumerate(mats):
-            conj = _matmul(_matmul(gi, mm, n, F.add_t, F.mul_t), g, n,
-                           F.add_t, F.mul_t)
+            conj = _matmul(_matmul(gi, mm, n, add, mul), g, n, add, mul)
             perm[i] = index[conj]
         perms.append(tuple(perm))
     assert len(perms) == pgl_order(q, n)
@@ -487,6 +414,10 @@ def orbit_count(q: int, n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> i
     ambient = q ** (m * n * n)
     if ambient > cap:
         raise DomainError(f"ambient count {ambient} exceeds cap {cap}")
+    table = pgl_order(q, n) * q ** (n * n)
+    if table > cap:
+        raise DomainError(f"the PGL permutation table of {table} entries "
+                          f"exceeds cap {cap}")
     perms = _pgl_conj_perms(q, n)
     canonical = 0
     generating = 0
@@ -671,8 +602,9 @@ def enumerate_maximal_subalgebras(q: int) -> SubalgebraCatalog:
     """
     if q > 16:
         raise DomainError("catalog enumeration is capped at q = 16")
-    F = small_field(q)
-    mul, sub, neg = F.mul_t, F.sub_t, F.neg_t
+    F = field_of_order(q)
+    add, sub, mul, _ = _tables(q)
+    neg = sub[0]
     points = [(1, s) for s in range(q)] + [(0, 1)]
     noncomm = []
     for v0, v1 in points:
@@ -684,10 +616,10 @@ def enumerate_maximal_subalgebras(q: int) -> SubalgebraCatalog:
     comm = {}
     irr_count = 0
     for mm in _all_mats(q, 2):
-        tr = F.add_t[mm[0]][mm[3]]
+        tr = add[mm[0]][mm[3]]
         dt = det_rows((mm[:2], mm[2:]), F)
         # t^2 - tr*t + det has no roots in F_q
-        if any(F.add_t[F.sub_t[mul[x][x]][mul[tr][x]]][dt] == 0
+        if any(add[sub[mul[x][x]][mul[tr][x]]][dt] == 0
                for x in range(q)):
             continue
         irr_count += 1
@@ -710,7 +642,7 @@ def enumerate_maximal_subalgebras(q: int) -> SubalgebraCatalog:
     return catalog
 
 
-def _check_catalog(cat: SubalgebraCatalog, F: SmallField):
+def _check_catalog(cat: SubalgebraCatalog, F):
     q = cat.q
     if len(cat.noncommutative) != q + 1:
         raise RuntimeError("wrong noncommutative count")
@@ -746,15 +678,16 @@ def _check_catalog(cat: SubalgebraCatalog, F: SmallField):
                 raise RuntimeError("mixed intersections must be the scalars")
 
 
-def _span_members(basis, F: SmallField):
+def _span_members(basis, q: int):
     """All matrix ids in the span of echelonized basis rows."""
-    mats_index = {mm: i for i, mm in enumerate(_all_mats(F.q, 2))}
+    add, _, mul, _ = _tables(q)
+    mats_index = {mm: i for i, mm in enumerate(_all_mats(q, 2))}
     members = set()
-    for coeffs in itertools.product(range(F.q), repeat=len(basis)):
+    for coeffs in itertools.product(range(q), repeat=len(basis)):
         vec = [0, 0, 0, 0]
         for c, row in zip(coeffs, basis):
             if c:
-                vec = [F.add_t[x][F.mul_t[c][y]] for x, y in zip(vec, row)]
+                vec = [add[x][mul[c][y]] for x, y in zip(vec, row)]
         members.add(mats_index[tuple(vec)])
     return members
 
@@ -769,13 +702,12 @@ def count_via_complement(q: int, m: int) -> int:
     if q > 5:
         raise DomainError("complement count is capped at q = 5")
     cat = enumerate_maximal_subalgebras(q)
-    F = small_field(q)
     subalgebras = [b for _, b in cat.noncommutative] + list(cat.commutative)
     N = q**4
     masks = [0] * N
     for s, basis in enumerate(subalgebras):
         bit = 1 << s
-        for idx in _span_members(basis, F):
+        for idx in _span_members(basis, q):
             masks[idx] |= bit
     nongen = 0
     for tup in itertools.product(masks, repeat=m):

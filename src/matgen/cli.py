@@ -14,23 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import census, construct, tuplefile, zverify
-from .domains import DomainError, QQ, ZZ, field_of_order, is_prime
+from .domains import DomainError, QQ, ZZ, field_of_order
 from .generation import mat_tuple, tuple_criterion_generates, closure_generates
 
 
 @dataclass
 class RunConfig:
     threads: int = 0  # 0 = machine parallelism
-    prime_sample: tuple = (2, 3, 5)
-    enumeration_cap: int = census.DEFAULT_ENUMERATION_CAP
     output: str = "human"
 
     def __post_init__(self):
-        if self.enumeration_cap < 2**10:
-            raise DomainError("enumeration cap must be at least 2^10")
-        for p in self.prime_sample:
-            if not is_prime(p):
-                raise DomainError(f"{p} in the prime sample is not prime")
         self.threads = census.resolve_threads(self.threads)
 
 
@@ -64,8 +57,7 @@ def _cmd_count(args, cfg: RunConfig) -> int:
     lines = []
     values = {}
     if mode in ("brute", "all"):
-        res = census.count_generating_bruteforce(
-            q, n, m, threads=cfg.threads, cap=cfg.enumeration_cap)
+        res = census.count_generating_bruteforce(q, n, m, threads=cfg.threads)
         report["brute"] = res.to_json()
         values["brute_count"] = res.generating_count
         values["brute_gen"] = res.gen_value
@@ -117,8 +109,7 @@ def _cmd_check(args, cfg: RunConfig) -> int:
         return 0 if rep.verdict else 1
     if domain == ZZ:
         if all(n_i == 2 for n_i in sizes):
-            verdict = zverify.verify_z_tuples(tf.generators,
-                                              prime_sample=cfg.prime_sample)
+            verdict = zverify.verify_z_tuples(tf.generators)
             report["verification"] = verdict.to_json()
             _emit(report, cfg, [f"generating (certified): {verdict.overall}"])
             return 0 if verdict.overall else 1
@@ -136,8 +127,7 @@ def _cmd_check(args, cfg: RunConfig) -> int:
 
 def _cmd_table16(args, cfg: RunConfig) -> int:
     fam = construct.table16()
-    verdict = zverify.verify_z_tuples(fam.generators,
-                                      prime_sample=cfg.prime_sample)
+    verdict = zverify.verify_z_tuples(fam.generators)
     report = {"table": "gen16_pairs", "verification": verdict.to_json()}
     lines = [
         f"cross-sections: {len(verdict.componentwise)} "

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import PrimeField, ZZ, DomainError, is_prime
+from .domains import ZZ, DomainError, build_ext_field, is_prime
 from .linalg import (
     Mat,
     det,
@@ -215,7 +215,7 @@ def simultaneously_conjugate(tuple_a, tuple_b) -> Optional[Mat]:
 def _modp_verdict(tuple_a, tuple_b, p: int) -> PrimeVerdict:
     from .generation import mat_tuple
 
-    f = PrimeField(p)
+    f = build_ext_field(p, 1)
     a_p = mat_tuple([reduce_mod(a, p) for a in tuple_a.mats])
     b_p = mat_tuple([reduce_mod(b, p) for b in tuple_b.mats])
     space = intertwiners(a_p, b_p)
@@ -369,5 +369,5 @@ def conjugate_mod_p_bruteforce(tuple_a, tuple_b, p: int) -> Optional[Mat]:
         if alive.size == 0:
             return None
     idx = int(alive[0])
-    f = PrimeField(p)
+    f = build_ext_field(p, 1)
     return mat(f, [[int(c1[idx]), int(c2[idx])], [int(c3[idx]), int(c4[idx])]])

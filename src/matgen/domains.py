@@ -4,14 +4,14 @@ Elements are plain hashable Python values in a canonical form, with all
 arithmetic carried by the domain object:
 
 * prime field   -- int residue in [0, p)
-* ext field     -- tuple of k residues, lowest-degree coefficient first
+* ext field     -- int sum c_j p^j in [0, p^k) over the coefficient vector
+                   (c_0 the constant term), so 0 is zero and 1 is one
 * integers      -- int (arbitrary precision)
 * rationals     -- fractions.Fraction (auto-reduced, positive denominator)
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -179,33 +179,44 @@ def _poly_mul(a, b, p):
     return _poly_trim(out)
 
 
-def _poly_eval(c, x, p):
-    acc = 0
-    for coef in reversed(c):
-        acc = (acc * x + coef) % p
-    return acc
+def _poly_powmod(base, e: int, mod, p):
+    """base^e modulo the monic mod over F_p, by repeated squaring."""
+    out, base = [1], _poly_mod(base, mod, p)
+    while e:
+        if e & 1:
+            out = _poly_mod(_poly_mul(out, base, p), mod, p)
+        e >>= 1
+        if e:
+            base = _poly_mod(_poly_mul(base, base, p), mod, p)
+    return out
+
+
+def _poly_gcd(a, b, p):
+    """Monic gcd of two polynomials over F_p."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b:
+        lead_inv = pow(b[-1], p - 2, p)
+        b = [c * lead_inv % p for c in b]
+        a, b = b, _poly_mod(a, b, p)
+    return a
 
 
 def _is_irreducible(coeffs, p) -> bool:
-    """Irreducibility of a monic polynomial of degree <= 4 over F_p."""
+    """Irreducibility of a monic polynomial f of degree <= 4 over F_p.
+
+    f is reducible exactly when it has an irreducible factor of some degree
+    d <= deg/2, that is when gcd(f, x^(p^d) - x) != 1 for such a d."""
     deg = len(coeffs) - 1
-    if deg == 1:
-        return True
-    if any(_poly_eval(coeffs, x, p) == 0 for x in range(p)):
-        return False
-    if deg <= 3:
-        return True
-    if deg == 4:
-        # no roots: only possible factorization is into two monic quadratics
-        for b in range(p):
-            for c in range(p):
-                quad = [c, b, 1]
-                if any(_poly_eval(quad, x, p) == 0 for x in range(p)):
-                    continue
-                if not _poly_mod(coeffs, quad, p):
-                    return False
-        return True
-    raise DomainError(f"extension degree {deg} out of scope (max 4)")
+    if deg > 4:
+        raise DomainError(f"extension degree {deg} out of scope (max 4)")
+    xpow = [0, 1]
+    for _ in range(deg // 2):
+        xpow = _poly_powmod(xpow, p, coeffs, p)  # x^(p^d) mod f
+        diff = xpow + [0] * (2 - len(xpow))
+        diff[1] -= 1
+        if len(_poly_gcd(coeffs, [c % p for c in diff], p)) > 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +294,23 @@ class PrimeField:
         return f"F{self.p}"
 
 
+TABLE_MAX = 64  # extension fields up to this order get full operation tables
+
+
 class ExtField:
-    """F_{p^k} as F_p[t]/(modulus), elements as length-k coefficient tuples."""
+    """F_{p^k} as F_p[t]/(modulus).
+
+    An element is the int sum c_j p^j over its coefficient vector, c_0 the
+    constant term: 0 is zero, 1 is one and p is the class of t.  Up to
+    TABLE_MAX elements, add, sub and mul are lookups in flat tables indexed
+    by a * q + b and inv in a list, all built once from the polynomial code;
+    above that the polynomial code runs on the digits.
+    """
 
     kind = "ext_field"
     is_field = True
 
-    __slots__ = ("p", "k", "modulus")
+    __slots__ = ("p", "k", "q", "modulus", "_add", "_sub", "_mul", "_inv")
 
     def __init__(self, p: int, k: int, modulus):
         if not is_prime(p):
@@ -303,7 +324,33 @@ class ExtField:
             raise DomainError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.k = k
+        self.q = q = p**k
         self.modulus = modulus
+        self._add = self._sub = self._mul = self._inv = None
+        if q <= TABLE_MAX:
+            # each method takes the polynomial path until its table is set
+            pairs = [(a, b) for a in range(q) for b in range(q)]
+            self._add = [self.add(a, b) for a, b in pairs]
+            self._sub = [self.sub(a, b) for a, b in pairs]
+            self._mul = [self.mul(a, b) for a, b in pairs]
+            self._inv = [None] + [self.inv(a) for a in range(1, q)]
+
+    def _digits(self, a):
+        """The coefficient vector of a, constant term first."""
+        p = self.p
+        out = []
+        for _ in range(self.k):
+            a, c = divmod(a, p)
+            out.append(c)
+        return out
+
+    def _join(self, coeffs):
+        """The element with these coefficients (reduced mod p)."""
+        p = self.p
+        a = 0
+        for c in reversed(coeffs):
+            a = a * p + c % p
+        return a
 
     @property
     def char(self) -> int:
@@ -311,88 +358,76 @@ class ExtField:
 
     @property
     def size(self) -> int:
-        return self.p**self.k
+        return self.q
 
     def zero(self):
-        return (0,) * self.k
+        return 0
 
     def one(self):
-        return (1,) + (0,) * (self.k - 1)
+        return 1
 
     def gen(self):
         """The class of t, a root of the modulus."""
-        return (0, 1) + (0,) * (self.k - 2)
+        return self.p
 
     def convert(self, n: int):
-        return (n % self.p,) + (0,) * (self.k - 1)
+        return n % self.p
 
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        t = self._add
+        if t is not None:
+            return t[a * self.q + b]
+        return self._join([x + y for x, y in zip(self._digits(a), self._digits(b))])
 
     def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        t = self._sub
+        if t is not None:
+            return t[a * self.q + b]
+        return self._join([x - y for x, y in zip(self._digits(a), self._digits(b))])
 
     def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
+        t = self._sub
+        if t is not None:
+            return t[a]  # 0 - a
+        return self._join([-x for x in self._digits(a)])
 
     def mul(self, a, b):
-        prod = _poly_mod(_poly_mul(list(a), list(b), self.p), self.modulus, self.p)
-        return tuple(prod) + (0,) * (self.k - len(prod))
+        t = self._mul
+        if t is not None:
+            return t[a * self.q + b]
+        p = self.p
+        return self._join(_poly_mod(_poly_mul(self._digits(a), self._digits(b), p),
+                                    self.modulus, p))
 
     def inv(self, a):
-        # extended Euclid in F_p[t]
-        if all(c == 0 for c in a):
+        if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        p = self.p
-        r0, r1 = list(self.modulus), _poly_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            # divide r0 by r1
-            q = [0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            rem = list(r0)
-            lead_inv = pow(r1[-1], p - 2, p)
-            while len(rem) >= len(r1) and rem:
-                shift = len(rem) - len(r1)
-                coef = (rem[-1] * lead_inv) % p
-                q[shift] = coef
-                for i, c in enumerate(r1):
-                    rem[shift + i] = (rem[shift + i] - coef * c) % p
-                rem = _poly_trim(rem)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_trim(
-                [
-                    (x - y) % p
-                    for x, y in itertools.zip_longest(
-                        s0, _poly_mul(q, s1, p), fillvalue=0
-                    )
-                ]
-            )
-        # r0 = gcd (a nonzero constant since modulus is irreducible)
-        c_inv = pow(r0[0], p - 2, p)
-        s0 = _poly_mod([x * c_inv % p for x in s0], self.modulus, p)
-        return tuple(s0) + (0,) * (self.k - len(s0))
+        t = self._inv
+        if t is not None:
+            return t[a]
+        # a^(q-2) = a^-1 in the multiplicative group of order q - 1
+        return self._join(_poly_powmod(self._digits(a), self.q - 2,
+                                       self.modulus, self.p))
 
     def is_zero(self, a) -> bool:
-        return all(c == 0 for c in a)
+        return a == 0
 
     def is_unit(self, a) -> bool:
-        return not self.is_zero(a)
+        return a != 0
 
     def elements(self):
-        for digits in itertools.product(range(self.p), repeat=self.k):
-            yield digits
+        """Every element, in lexicographic order of (c_0, ..., c_{k-1})."""
+        for n in range(self.q):
+            yield self._join(self._digits(n)[::-1])
 
     def format_elem(self, a) -> str:
-        return ",".join(str(c) for c in a)
+        return ",".join(str(c) for c in self._digits(a))
 
     def parse_elem(self, s: str):
-        coeffs = tuple(int(c) % self.p for c in s.split(","))
+        coeffs = [int(c) for c in s.split(",")]
         if len(coeffs) != self.k:
             raise DomainError(f"expected {self.k} coefficients, got {s!r}")
-        return coeffs
+        return self._join(coeffs)
 
     def __eq__(self, other):
         return (
@@ -534,9 +569,9 @@ def build_ext_field(p: int, k: int):
         raise DomainError("extension degree must be in 1..4")
     if k == 1:
         return PrimeField(p)
-    for high in itertools.product(range(p), repeat=k):
-        # high = (a_{k-1}, ..., a_0); stored lowest-first below
-        coeffs = list(reversed(high)) + [1]
+    for n in range(p**k):
+        # the base-p digits of n, most significant first, are a_{k-1}..a_0
+        coeffs = [n // p**j % p for j in range(k)] + [1]
         if _is_irreducible(coeffs, p):
             return ExtField(p, k, tuple(coeffs))
     raise DomainError(f"no irreducible modulus of degree {k} over F_{p}")  # unreachable
@@ -551,18 +586,25 @@ def field_of_order(q: int):
     return build_ext_field(*pk)
 
 
+QUADRATIC_EXTENSION_MAX = 2**16
+
+
 @lru_cache(maxsize=None)
 def quadratic_extension(field):
     """(E, embed) with E of order q^2 and embed: field -> E.
 
     The embedding sends the field generator to a fixed root of the field's
-    modulus in E (the first root in element-enumeration order).
+    modulus in E (the first root in element-enumeration order).  E is
+    refused above 2^16 elements: its users enumerate it.
     """
+    if not isinstance(field, (PrimeField, ExtField)):
+        raise DomainError("quadratic extension requires a finite field")
+    if field.size ** 2 > QUADRATIC_EXTENSION_MAX:
+        raise DomainError(f"the quadratic extension of {field!r} has more than "
+                          f"{QUADRATIC_EXTENSION_MAX} elements")
     if isinstance(field, PrimeField):
         E = build_ext_field(field.p, 2)
         return E, lambda a: E.convert(a)
-    if not isinstance(field, ExtField):
-        raise DomainError("quadratic extension requires a finite field")
     E = build_ext_field(field.p, 2 * field.k)
     root = None
     for x in E.elements():
@@ -577,7 +619,7 @@ def quadratic_extension(field):
 
     def embed(a, _E=E, _root=root):
         acc = _E.zero()
-        for c in reversed(a):
+        for c in reversed(field._digits(a)):
             acc = _E.add(_E.mul(acc, _root), _E.convert(c))
         return acc
 

@@ -209,10 +209,17 @@ def tuple_criterion_generates(tuples: Sequence[MatTuple], copies: Optional[int] 
     witness_line = None
     cross_sections = [mat_tuple([t.mats[i] for t in tuples]) for i in range(m)]
     for i, cs in enumerate(cross_sections):
-        if not generates_single(cs.mats).verdict:
+        # one copy: the cross-section closure is the closure above
+        single = closure if m == 1 else generates_single(cs.mats)
+        if not single.verdict:
             failed = CrossSectionFails(i)
             if n == 2:
-                witness_line = common_eigenline(cs.mats)
+                try:
+                    witness_line = common_eigenline(cs.mats)
+                except DomainError:
+                    # F_{q^2} is past the degree cap or too large to search;
+                    # the closure has decided already
+                    witness_line = None
             break
     if failed is None:
         for i in range(m):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Optional, Sequence
 
-from .domains import DomainError, PrimeField, quadratic_extension
+from .domains import DomainError, build_ext_field, quadratic_extension
 
 ALL_LINES = "all-lines"
 
@@ -137,7 +137,7 @@ def commutator(a: Mat, b: Mat) -> Mat:
 
 def reduce_mod(a: Mat, p: int) -> Mat:
     """The integer matrix a with its entries reduced into F_p."""
-    return mat(PrimeField(p), a.rows)
+    return mat(build_ext_field(p, 1), a.rows)
 
 
 def det(a: Mat):

@@ -1,11 +1,13 @@
 import json
+import time
 
 import pytest
 
 from matgen.cli import main
-from matgen.construct import standard_xy_family, table16
-from matgen.domains import PrimeField
+from matgen.construct import GeneratorFamily, standard_xy_family, table16
+from matgen.domains import PrimeField, field_of_order
 from matgen.generation import DirectSumShape
+from matgen.linalg import mat
 from matgen.tuplefile import dumps
 
 
@@ -89,6 +91,22 @@ def test_check_runs_the_full_closure_once(tmp_path, monkeypatch, capsys):
     assert shapes.count(fam.shape) == 1
 
 
+@pytest.mark.parametrize("q", [8, 16, 10007])
+def test_check_upper_triangular_pair_exits_one(tmp_path, capsys, q):
+    # no eigenline search over F_64, F_256 (degree cap) or F_10007^2 (size)
+    field = field_of_order(q)
+    fam = GeneratorFamily(
+        shape=DirectSumShape(((2, 1),)),
+        generators=((mat(field, [[3, 5], [0, 7]]),),
+                    (mat(field, [[1, 2], [0, 6]]),)),
+        provenance="test")
+    path = tmp_path / "tri.json"
+    path.write_text(dumps(fam), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["check", "--input", str(path)]) == 1
+    assert time.perf_counter() - start < 2.0
+
+
 def test_check_malformed_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken", encoding="utf-8")
@@ -159,6 +177,13 @@ def test_count_and_bound_refuse_bad_q(capsys):
 def test_relations_command(capsys):
     assert main(["relations", "--n", "5", "--domain", "q"]) == 0
     assert main(["relations", "--n", "3", "--domain", "f2"]) == 0
+
+
+def test_relations_over_a_large_extension_is_quick(capsys):
+    start = time.perf_counter()
+    assert main(["relations", "--n", "2",
+                 "--domain", "f1000000014000000049"]) == 0
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bound_command(capsys):

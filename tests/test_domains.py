@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -6,6 +7,7 @@ import pytest
 from matgen.domains import (
     QQ,
     ZZ,
+    TABLE_MAX,
     DomainError,
     ExtField,
     PrimeField,
@@ -16,6 +18,7 @@ from matgen.domains import (
     quadratic_extension,
 )
 from matgen.domains import (
+    _is_irreducible,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
 )
@@ -98,6 +101,111 @@ def test_reducible_modulus_rejected():
         ExtField(2, 4, (1, 0, 0, 0, 1))  # x^4+1 = (x+1)^4 over F_2
 
 
+def _irreducible_by_scan(coeffs, p):
+    """Reference for degree <= 4: no root in F_p and, at degree 4, no monic
+    irreducible quadratic factor."""
+    def value(c, x):
+        acc = 0
+        for coef in reversed(c):
+            acc = (acc * x + coef) % p
+        return acc
+
+    def divides(den, num):  # den monic
+        num = list(num)
+        for shift in range(len(num) - len(den), -1, -1):
+            lead = num[shift + len(den) - 1]
+            for i, d in enumerate(den):
+                num[shift + i] = (num[shift + i] - lead * d) % p
+        return not any(num)
+
+    if any(value(coeffs, x) == 0 for x in range(p)):
+        return False
+    if len(coeffs) == 5:
+        quads = ([c, b, 1] for b in range(p) for c in range(p))
+        return not any(divides(quad, coeffs) for quad in quads
+                       if all(value(quad, x) for x in range(p)))
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_irreducibility_matches_root_and_quadratic_scan(p):
+    # Gauss's count of monic irreducibles of degree 2, 3 and 4
+    counts = {2: (p**2 - p) // 2, 3: (p**3 - p) // 3, 4: (p**4 - p**2) // 4}
+    for deg in (2, 3, 4):
+        found = 0
+        for low in itertools.product(range(p), repeat=deg):
+            coeffs = list(low) + [1]
+            verdict = _is_irreducible(coeffs, p)
+            assert verdict == _irreducible_by_scan(coeffs, p), coeffs
+            found += verdict
+        assert found == counts[deg]
+
+
+def test_extension_of_a_large_prime_is_quick():
+    start = time.perf_counter()
+    f = build_ext_field(10**9 + 7, 2)
+    assert f.modulus == (1, 0, 1)  # x^2 + 1, as 10^9 + 7 = 3 mod 4
+    a = f.parse_elem("3,5")
+    assert f.mul(a, f.inv(a)) == f.one()
+    # a tuple file names its modulus; x^2 - 1 = (x - 1)(x + 1)
+    with pytest.raises(DomainError):
+        ExtField(10**9 + 7, 2, (10**9 + 6, 0, 1))
+    assert time.perf_counter() - start < 1.0
+
+
+def _digits(f, a):
+    return [a // f.p**j % f.p for j in range(f.k)]
+
+
+def _reference_mul(f, a, b):
+    """Schoolbook product of the coefficient vectors, reduced by the monic
+    modulus from the top degree down."""
+    p, k = f.p, f.k
+    prod = [0] * (2 * k - 1)
+    for i, u in enumerate(_digits(f, a)):
+        for j, v in enumerate(_digits(f, b)):
+            prod[i + j] += u * v
+    for top in range(2 * k - 2, k - 1, -1):
+        lead = prod[top]
+        for j, m in enumerate(f.modulus):
+            prod[top - k + j] -= lead * m
+    return sum(c % p * p**j for j, c in enumerate(prod[:k]))
+
+
+@pytest.mark.parametrize("q", [49, 81, 289])
+def test_table_and_polynomial_arithmetic_match_a_reference(q):
+    f = field_of_order(q)
+    # F_49 is table-driven; F_81 and F_289 run the polynomial code
+    assert (f._mul is not None) == (q <= TABLE_MAX)
+    p = f.p
+    rng = random.Random(q)
+    for _ in range(300):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert f.mul(a, b) == _reference_mul(f, a, b)
+        pairs = list(zip(_digits(f, a), _digits(f, b)))
+        assert f.add(a, b) == sum((u + v) % p * p**j for j, (u, v) in enumerate(pairs))
+        assert f.sub(a, b) == sum((u - v) % p * p**j for j, (u, v) in enumerate(pairs))
+        assert f.add(a, f.neg(a)) == f.zero()
+        if a:
+            assert _reference_mul(f, a, f.inv(a)) == f.one()
+
+
+@pytest.mark.parametrize("q", [16, 81])
+def test_element_encoding(q):
+    f = field_of_order(q)
+    p = f.p
+    vectors = list(itertools.product(range(p), repeat=f.k))
+    values = [sum(c * p**j for j, c in enumerate(v)) for v in vectors]
+    # lexicographic in (c_0, ..., c_{k-1}), not range(q)
+    assert list(f.elements()) == values
+    for v, a in zip(vectors, values):
+        text = ",".join(str(c) for c in v)
+        assert f.parse_elem(text) == a
+        assert f.format_elem(a) == text
+        assert f.parse_elem(f.format_elem(a)) == a
+    assert (f.zero(), f.one(), f.gen(), f.convert(p + 1)) == (0, 1, p, 1)
+
+
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 81])
 def test_inverses_exhaustive_small_fields(q):
     f = field_of_order(q)
@@ -113,7 +221,7 @@ def test_inverses_randomized_larger_field():
     f = build_ext_field(7, 4)  # 2401 elements
     rng = random.Random(0)
     for _ in range(100):
-        a = tuple(rng.randrange(7) for _ in range(4))
+        a = f.parse_elem(",".join(str(rng.randrange(7)) for _ in range(4)))
         if f.is_zero(a):
             continue
         assert f.mul(a, f.inv(a)) == f.one()
@@ -130,7 +238,7 @@ def test_field_arithmetic_classics():
 def test_parse_format_round_trip():
     cases = [
         (PrimeField(5), 3),
-        (build_ext_field(2, 2), (1, 1)),
+        (build_ext_field(2, 2), 3),
         (ZZ, -7),
         (QQ, QQ.parse_elem("3/4")),
         (QQ, QQ.parse_elem("-2")),
@@ -164,6 +272,16 @@ def test_quadratic_extension_embeds_homomorphically(q):
     assert embed(f.one()) == E.one()
     # embedding is injective
     assert len({embed(a) for a in elems}) == q
+
+
+def test_quadratic_extension_is_bounded():
+    start = time.perf_counter()
+    for f in (PrimeField(257), PrimeField(10007), field_of_order(17**2)):
+        with pytest.raises(DomainError):
+            quadratic_extension(f)
+    assert time.perf_counter() - start < 0.1
+    E, _ = quadratic_extension(PrimeField(251))
+    assert E.size == 251**2
 
 
 def test_field_of_order_rejects_non_prime_powers():

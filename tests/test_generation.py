@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ from matgen.domains import ZZ, PrimeField, field_of_order
 from matgen.generation import (
     ClosureDeficient,
     ConjugatePair,
+    CrossSectionFails,
     common_eigenline,
     closure_generates,
     det_commutator_generates,
@@ -124,6 +126,36 @@ def test_th1_single_copy_reduces_to_closure():
         rep = tuple_criterion_generates([mat_tuple([a]) for a in mats])
         direct = generates_single(mats)
         assert rep.verdict == direct.verdict
+
+
+def test_single_copy_criterion_runs_one_closure(monkeypatch):
+    from matgen import generation
+    from matgen.construct import standard_xy_family
+
+    fam = standard_xy_family(3, field_of_order(9))
+    shapes = []
+    closure = generation.closure_generates
+
+    def counted(S, shape, *args, **kwargs):
+        shapes.append(shape)
+        return closure(S, shape, *args, **kwargs)
+
+    monkeypatch.setattr(generation, "closure_generates", counted)
+    rep = tuple_criterion_generates([mat_tuple(list(g)) for g in fam.generators])
+    assert rep.verdict and shapes == [shape_of(3, 1)]
+
+
+@pytest.mark.parametrize("q", [8, 16, 10007])
+def test_failing_cross_section_without_a_searchable_extension(q):
+    # F_64 and F_256 are past the degree cap, F_10007^2 past the search
+    # bound: the closure decides and the witness is left out
+    field = field_of_order(q)
+    a, b = mat(field, [[3, 5], [0, 7]]), mat(field, [[1, 2], [0, 6]])
+    start = time.perf_counter()
+    rep = tuple_criterion_generates([mat_tuple([a]), mat_tuple([b])])
+    assert not rep.verdict and rep.failed_condition == CrossSectionFails(0)
+    assert rep.eigen_witness is None
+    assert time.perf_counter() - start < 1.0
 
 
 # --- common eigenlines -------------------------------------------------------

@@ -28,6 +28,7 @@ from matgen.linalg import (
     mat,
     poly_eval_mat,
     quadratic_eigvecs,
+    reduce_mod,
     rref,
     snf,
     subspace_intersection,
@@ -272,6 +273,16 @@ def _pinned_outputs():
             elems = [Fraction(x, y) for x in range(-3, 4) for y in (1, 2, 3)]
         else:
             elems = list(d.elements())
+        if d.kind == "ext_field":
+            def coeffs(x, d=d):
+                return tuple(int(c) for c in d.format_elem(x).split(","))
+        else:
+            def coeffs(x):
+                return x
+
+        def vecs(rows):
+            return [tuple(coeffs(x) for x in row) for row in rows]
+
         for _ in range(12):
             r, c = rng.randint(1, 5), rng.randint(1, 5)
             k = rng.randint(1, r)  # rows are combinations of k rows
@@ -286,12 +297,12 @@ def _pinned_outputs():
             basis, rank = rref(rows, d)
             w = [tuple(rng.choice(elems) for _ in range(c))
                  for _ in range(rng.randint(1, c))]
-            out.append((basis, rank, kernel_basis(rows, d),
-                        subspace_intersection(basis, w, d)))
+            out.append((vecs(basis), rank, vecs(kernel_basis(rows, d)),
+                        vecs(subspace_intersection(basis, w, d))))
         for n in (1, 2, 3, 4):
             a = Mat(d, n, tuple(tuple(rng.choice(elems) for _ in range(n))
                                 for _ in range(n)))
-            out.append((det(a), char_poly(a)))
+            out.append((coeffs(det(a)), tuple(coeffs(x) for x in char_poly(a))))
     for n in (1, 2, 3, 4):
         a = Mat(ZZ, n, tuple(tuple(rng.randint(-9, 9) for _ in range(n))
                              for _ in range(n)))
@@ -301,7 +312,8 @@ def _pinned_outputs():
 
 def test_outputs_pinned():
     # digest of the outputs of the separate elimination, kernel,
-    # intersection, determinant and char-poly routines these replaced
+    # intersection, determinant and char-poly routines these replaced;
+    # extension-field elements enter it as their coefficient tuples
     digest = hashlib.sha256(repr(_pinned_outputs()).encode()).hexdigest()
     assert digest == \
         "7532c5a9aa6e2adafe80b47e634985734d8eeeff4a18d66086d7891587b34ff1"
@@ -310,3 +322,21 @@ def test_outputs_pinned():
 def test_vectorize_is_row_major():
     a = mat(ZZ, [[1, 2], [3, 4]])
     assert vectorize(a) == (1, 2, 3, 4)
+
+
+def test_reduce_mod_reuses_the_prime_field(monkeypatch):
+    from matgen import domains
+
+    a = mat(ZZ, [[7, -3], [12, 5]])
+    reduce_mod(a, 5)
+    calls = []
+    is_prime = domains.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(domains, "is_prime", counted)
+    for _ in range(100):
+        assert reduce_mod(a, 5).rows == ((2, 2), (2, 0))
+    assert calls == []
