@@ -25,8 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
 from .domains import DomainError, field_of_order, is_prime_power
 from .linalg import det_rows, kernel_basis, rref, subspace_intersection
 
@@ -85,6 +83,8 @@ BLOCK = 4096  # m-tuples per kernel call; bounds the kernel's scratch memory
 @lru_cache(maxsize=None)
 def _field_arrays(q: int):
     """(shift, add, sub, mul, inv) of _tables(q) as flat numpy tables."""
+    import numpy as np
+
     shift = max(1, (q - 1).bit_length())
     if shift > 8:
         raise DomainError("the batched census supports q <= 256")
@@ -106,6 +106,8 @@ def _digits(ids, base: int, count: int, dtype):
     """Base-`base` digits of int64 ids, most significant first:
     (count, len(ids)).  A tuple id in [0, N^m) splits into its m matrix ids
     with base N; a matrix id splits into its entries with base q."""
+    import numpy as np
+
     out = np.empty((count, len(ids)), dtype)
     for i in range(count - 1, -1, -1):
         ids, out[i] = np.divmod(ids, base)
@@ -115,6 +117,8 @@ def _digits(ids, base: int, count: int, dtype):
 def _block_verdicts(q: int, n: int, m: int, lo: int, hi: int):
     """Yield (comps, ok) per block of the m-tuples with ids in [lo, hi):
     comps (m, B) holds their matrix ids and ok their generation mask."""
+    import numpy as np
+
     N = q ** (n * n)
     for start in range(lo, hi, BLOCK):
         ids = np.arange(start, min(start + BLOCK, hi), dtype=np.int64)
@@ -133,6 +137,8 @@ def _generates_block(comps, q: int, n: int):
     added to reach it, then W_{k+1} = W_k + W_k G = W_k + F G, since
     W_{k-1} G lies in W_k.  A tuple stops when its rank is n^2 or a level
     adds no row."""
+    import numpy as np
+
     shift, add, sub, mul, inv = _field_arrays(q)
     m, nt = comps.shape
     d = n * n
@@ -166,6 +172,8 @@ def _insert(cand, basis, present, shift, sub, mul, inv):
 
     basis[:, c] is the row with pivot column c (leading 1) where present[c];
     returns the (d, B) mask of pivot columns that got a new row."""
+    import numpy as np
+
     d, _, nt = cand.shape
     cols = np.arange(nt)
     added = np.zeros((d, nt), bool)
@@ -189,6 +197,8 @@ def _insert(cand, basis, present, shift, sub, mul, inv):
 def _frontier(basis, added):
     """The rows added at this level, packed to (d, F, B); F is the most any
     tuple added, and a tuple with fewer gets zero rows."""
+    import numpy as np
+
     width = int(added.sum(0).max())
     order = np.argsort(~added, axis=0, kind="stable")[:width]
     rows = np.take_along_axis(basis, order[None], axis=1)
@@ -197,6 +207,8 @@ def _frontier(basis, added):
 
 def _products(front, gens, n: int, shift, add, mul):
     """e g for every frontier row e and generator g: (d, F m, B)."""
+    import numpy as np
+
     d, f, nt = front.shape
     m = gens.shape[1]
     out = np.empty((d, f, m, nt), front.dtype)
@@ -742,6 +754,8 @@ def sample_generation_probability(q: int, n: int, m: int,
         res = count_generating_bruteforce(q, n, m)
         return Fraction(res.generating_count, res.ambient_count)
     import random
+
+    import numpy as np
 
     if samples < 1:
         raise DomainError("samples must be >= 1")

@@ -12,10 +12,10 @@ the elementary divisors of the system) checked individually.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
-
-import numpy as np
 
 from .domains import ZZ, DomainError, build_ext_field, is_prime
 from .linalg import (
@@ -34,6 +34,12 @@ from .linalg import (
 
 ENUMERATION_CAP = 4096
 BRUTEFORCE_GROUP_CAP = 10**6
+# Trial division bound of _prime_factors, and the rho iterations (squarings
+# mod n) allowed for one split: up to about 1 s, which splits off prime
+# factors up to about 10^11 (factors near 10^12 were refused).
+TRIAL_BOUND = 1000
+RHO_ITERATIONS = 1 << 20
+_RHO_BATCH = 128  # differences multiplied together between gcds
 
 
 class UndecidableError(RuntimeError):
@@ -310,64 +316,132 @@ def _nonvanishing_point(space, dets, cross) -> Mat:
 
 
 def _prime_factors(n: int):
+    """Distinct prime factors of n >= 1, ascending.
+
+    Trial division by d < TRIAL_BOUND, then each cofactor is tested for
+    primality and a composite one split by Pollard-Brent rho (Brent 1980).
+    A split that fails within RHO_ITERATIONS raises UndecidableError, so no
+    input makes this run unboundedly."""
     out = []
     d = 2
-    while d * d <= n:
+    while d < TRIAL_BOUND and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            out.append(m)
+        else:
+            f = _rho_split(m)
+            pending += [f, m // f]
+    return sorted(set(out))
+
+
+def _rho_split(n: int) -> int:
+    """A proper divisor of the composite n, which has no factor below
+    TRIAL_BOUND: Brent's cycle search on y -> y^2 + c from y = 2, for
+    c = 1, 2, ... in turn, sharing one budget of RHO_ITERATIONS."""
+    left = RHO_ITERATIONS
+    for c in itertools.count(1):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            if left < 2 * r:
+                raise UndecidableError(
+                    f"no factor of {n} found within {RHO_ITERATIONS} rho "
+                    "iterations; undecidable under current strategy")
+            left -= 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = math.gcd(acc, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # the batch overshot: redo it one difference at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(x - saved, n)
+        if g != n:
+            return g
 
 
 # ---------------------------------------------------------------------------
 # independent oracle: exhaustive sweep of GL_2(F_p)
 
-_GL2_CACHE = {}
+# Residues of as many equations as keep p^k <= 2^62 share one int64 code.
+_CODE_LIMIT = 1 << 62
 
 
-def _gl2_arrays(p: int):
-    arrs = _GL2_CACHE.get(p)
-    if arrs is None:
-        ids = np.arange(p**4, dtype=np.int64)
-        c1 = ids // p**3 % p
-        c2 = ids // p**2 % p
-        c3 = ids // p % p
-        c4 = ids % p
-        invertible = (c1 * c4 - c2 * c3) % p != 0
-        arrs = tuple(c[invertible] for c in (c1, c2, c3, c4))
-        _GL2_CACHE[p] = arrs
-    return arrs
+@lru_cache(maxsize=None)
+def _gl2_grid(p: int):
+    """(y1, y2, invertible) for the p^2 x p^2 candidate grid.
+
+    Half number u in [0, p^2) is the pair (y1[u], y2[u]) = divmod(u, p).
+    Cell (i, j) is the matrix [[y1[i], y2[i]], [y1[j], y2[j]]], and
+    invertible[i, j] says its determinant is nonzero mod p."""
+    import numpy as np
+
+    y1, y2 = np.divmod(np.arange(p * p, dtype=np.int64), p)
+    invertible = (np.outer(y1, y2) - np.outer(y2, y1)) % p != 0
+    for arr in (y1, y2, invertible):
+        arr.flags.writeable = False
+    return y1, y2, invertible
 
 
 def conjugate_mod_p_bruteforce(tuple_a, tuple_b, p: int) -> Optional[Mat]:
     """Exhaustive search of GL_2(F_p) for a simultaneous conjugator.
 
-    Enumerates every invertible matrix (vectorized, in lexicographic order)
-    and keeps those intertwining all components; independent of the linear
-    algebra used elsewhere.
+    Returns the lexicographically first C = [[x1, x2], [x3, x4]] in
+    GL_2(F_p) with C A_i = B_i C (mod p) for every i, or None; independent
+    of the linear algebra used elsewhere.
+
+    Each entry of C A_i - B_i C is a linear form that splits as
+    h(x1, x2) - l(x3, x4).  The sweep evaluates h and l on all p^2 values of
+    their half and packs the residues of several equations into one base-p
+    code per half, so a cell (x1, x2 | x3, x4) of the p^2 x p^2 grid solves
+    those equations exactly when its two codes are equal.  Every cell is
+    compared for every equation and masked by det C != 0, so the search
+    stays exhaustive; row-major order on the grid is lexicographic order on
+    (x1, x2, x3, x4), so the first surviving cell is the first solution.
     """
     if tuple_a.n != 2 or tuple_b.n != 2:
         raise DomainError("brute force sweep handles 2x2 tuples")
+    if not is_prime(p):
+        raise DomainError(f"the sweep needs a prime, not {p}")
     order = (p * p - 1) * (p * p - p)
     if order > BRUTEFORCE_GROUP_CAP:
         raise DomainError(f"|GL_2(F_{p})| = {order} exceeds the sweep cap")
-    c1, c2, c3, c4 = _gl2_arrays(p)
-    alive = np.arange(c1.shape[0])
+    y1, y2, ok = _gl2_grid(p)
+    # (h1, h2, l1, l2): h1 x1 + h2 x2 = l1 x3 + l2 x4 (mod p)
+    forms = []
     for a, b in zip(tuple_a.mats, tuple_b.mats):
-        (a1, a2), (a3, a4) = [[x % p for x in row] for row in a.rows]
-        (b1, b2), (b3, b4) = [[x % p for x in row] for row in b.rows]
-        x1, x2, x3, x4 = c1[alive], c2[alive], c3[alive], c4[alive]
-        ok = (x1 * a1 + x2 * a3 - b1 * x1 - b2 * x3) % p == 0
-        ok &= (x1 * a2 + x2 * a4 - b1 * x2 - b2 * x4) % p == 0
-        ok &= (x3 * a1 + x4 * a3 - b3 * x1 - b4 * x3) % p == 0
-        ok &= (x3 * a2 + x4 * a4 - b3 * x2 - b4 * x4) % p == 0
-        alive = alive[ok]
-        if alive.size == 0:
-            return None
-    idx = int(alive[0])
+        (a1, a2), (a3, a4) = a.rows
+        (b1, b2), (b3, b4) = b.rows
+        forms += [(a1 - b1, a3, b2, 0), (a2, a4 - b1, 0, b2),
+                  (b3, 0, a1 - b4, a3), (0, b3, a2, a4 - b4)]
+    per_code = 1
+    while p ** (per_code + 1) <= _CODE_LIMIT:
+        per_code += 1
+    for start in range(0, len(forms), per_code):
+        hi = lo = 0
+        for h1, h2, l1, l2 in forms[start:start + per_code]:
+            hi = hi * p + (h1 % p * y1 + h2 % p * y2) % p
+            lo = lo * p + (l1 % p * y1 + l2 % p * y2) % p
+        ok = ok & (hi[:, None] == lo[None, :])
+    idx = int(ok.argmax())
+    if not ok.flat[idx]:
+        return None
+    (x1, x2), (x3, x4) = (divmod(half, p) for half in divmod(idx, p * p))
     f = build_ext_field(p, 1)
-    return mat(f, [[int(c1[idx]), int(c2[idx])], [int(c3[idx]), int(c4[idx])]])
+    return mat(f, [[x1, x2], [x3, x4]])

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import matgen
 from matgen.cli import main
 from matgen.construct import GeneratorFamily, standard_xy_family, table16
 from matgen.domains import PrimeField, field_of_order
@@ -221,3 +226,13 @@ def test_threads_env_invalid_exits_two(monkeypatch, capsys, value):
     monkeypatch.setenv("MATGEN_THREADS", value)
     assert main(["count", "--q", "2", "--m", "2", "--mode", "formula"]) == 2
     assert "MATGEN_THREADS" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported by the census kernel and the GL_2 sweep when they run
+    env = dict(os.environ, PYTHONPATH=str(Path(matgen.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, matgen.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

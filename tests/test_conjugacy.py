@@ -1,15 +1,19 @@
+import hashlib
+import itertools
 import random
+import time
 
 import pytest
 
 from matgen.conjugacy import (
+    RHO_ITERATIONS,
     UndecidableError,
     conjugate_mod_p_bruteforce,
     intertwiners,
     nonconjugate_all_primes,
     simultaneously_conjugate,
 )
-from matgen.domains import QQ, ZZ, PrimeField, build_ext_field
+from matgen.domains import QQ, ZZ, DomainError, PrimeField, build_ext_field
 from matgen.generation import mat_tuple
 from matgen.linalg import (
     Mat,
@@ -245,3 +249,104 @@ def test_certificate_json_shape():
     assert data["schema_version"] == 1
     assert data["overall"] is True
     assert isinstance(data["exceptional_primes"], list)
+
+
+def test_bruteforce_refuses_a_composite_modulus():
+    # refused whether or not a solution exists (here none does)
+    zero = mat_tuple([zero_mat(ZZ, 2)])
+    one = mat_tuple([identity(ZZ, 2)])
+    with pytest.raises(DomainError):
+        conjugate_mod_p_bruteforce(zero, one, 4)
+
+
+# --- the sweep's outputs, pinned ---------------------------------------------
+
+SWEEP_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _mul2(x, y):
+    return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)]
+            for i in range(2)]
+
+
+def _sweep_cases():
+    """24 seeded integer pairs, m = 1..4; every third is conjugate over Z
+    by a unimodular matrix."""
+    rng = random.Random(5)
+    cases = []
+    for k in range(24):
+        m = 1 + k % 4
+        a = [[[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+             for _ in range(m)]
+        if k % 3 == 0:
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            u, u_inv = [[1 + s * t, s], [t, 1]], [[1, -s], [-t, 1 + s * t]]
+            b = [_mul2(_mul2(u, x), u_inv) for x in a]
+        else:
+            b = [[[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+                 for _ in range(m)]
+        cases.append((mat_tuple([mat(ZZ, x) for x in a]),
+                      mat_tuple([mat(ZZ, x) for x in b])))
+    return cases
+
+
+def _lex_first_conjugator(ta, tb, p):
+    """Plain-Python reference: the first invertible C, in lexicographic
+    order of its entries, with C A = B C (mod p) for every component."""
+    for x1, x2, x3, x4 in itertools.product(range(p), repeat=4):
+        c = [[x1, x2], [x3, x4]]
+        if (x1 * x4 - x2 * x3) % p == 0:
+            continue
+        if all(all((u - v) % p == 0
+                   for ru, rv in zip(_mul2(c, a.rows), _mul2(b.rows, c))
+                   for u, v in zip(ru, rv))
+               for a, b in zip(ta.mats, tb.mats)):
+            return ((x1, x2), (x3, x4))
+    return None
+
+
+def test_sweep_matches_plain_lexicographic_search():
+    for ta, tb in _sweep_cases():
+        for p in (2, 3, 5, 7):
+            w = conjugate_mod_p_bruteforce(ta, tb, p)
+            assert (None if w is None else w.rows) == \
+                _lex_first_conjugator(ta, tb, p)
+
+
+def test_sweep_outputs_pinned():
+    # digest of the witnesses (or None) of the sweep that gathered the
+    # columns of GL_2(F_p) per component, at all 11 primes up to 31
+    outputs = []
+    for ta, tb in _sweep_cases():
+        for p in SWEEP_PRIMES:
+            w = conjugate_mod_p_bruteforce(ta, tb, p)
+            outputs.append(None if w is None else w.rows)
+    assert sum(w is not None for w in outputs) == 90
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == \
+        "cebfbaa4f649cb0138e7004bf0176b4d147f7760b07b79251f853c5ef9616503"
+
+
+# --- factoring the elementary divisors ----------------------------------------
+
+def _upper_pair(n):
+    return mat_tuple([mat(ZZ, [[0, 1], [0, n]]), mat(ZZ, [[0, 1], [0, 0]])])
+
+
+def test_certificate_factors_a_product_of_mersenne_primes():
+    # trial division to sqrt of this elementary divisor never finished
+    m31, m61 = 2**31 - 1, 2**61 - 1
+    t = _upper_pair(m31 * m61)
+    start = time.perf_counter()
+    cert = nonconjugate_all_primes(t, t)
+    assert time.perf_counter() - start < 2
+    listed = {pv.p for pv in cert.exceptional_primes}
+    assert {2, m31, m61} <= listed
+    assert not cert.overall and cert.witness[0] == 2
+
+
+def test_certificate_refuses_a_semiprime_beyond_the_rho_cap():
+    # both factors are near 2^89 and 2^107: rho needs about 2^44 steps
+    t = _upper_pair((2**89 - 1) * (2**107 - 1))
+    with pytest.raises(UndecidableError, match=str(RHO_ITERATIONS)):
+        nonconjugate_all_primes(t, t)
