@@ -132,11 +132,9 @@ def _generates_block(comps, q: int, n: int):
     A matrix id's base-q digits are its entries in row-major order, which is
     the order of _all_mats.  Span closure as a fixed point: level 0 inserts
     the generators, each later level inserts the products e g of the rows e
-    the previous level added with every generator g.  Right products
-    suffice: if W_k is the span of the words of length <= k and F the rows
-    added to reach it, then W_{k+1} = W_k + W_k G = W_k + F G, since
-    W_{k-1} G lies in W_k.  A tuple stops when its rank is n^2 or a level
-    adds no row."""
+    the previous level added with every generator g; right products suffice
+    by the lemma in generation.closure_generates.  A tuple stops when its
+    rank is n^2 or a level adds no row."""
     import numpy as np
 
     shift, add, sub, mul, inv = _field_arrays(q)
@@ -563,18 +561,6 @@ def integer_gen_formula(m: int) -> int:
     num = 16**m - 3 * 8**m + 2 * 4**m
     assert num % 6 == 0
     return num // 6
-
-
-def gap_monotonicity_check(q: int, n: int, m_max: int) -> bool:
-    """One more generator at least doubles the reachable copy count, and
-    the count grows strictly in m, on 2 <= m <= m_max."""
-    if n != 2:
-        raise DomainError("closed formula available for n = 2 only")
-    for m in range(2, m_max):
-        g, g1 = gen_value_2x2(q, m), gen_value_2x2(q, m + 1)
-        if g1 < 2 * g or g1 <= g:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

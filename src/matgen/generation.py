@@ -134,6 +134,14 @@ def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
     copies.  The span of all products of elements of S (plus the identity if
     requested) is grown until it stabilizes; the verdict compares its
     dimension with the ambient dimension.
+
+    Right products by the generators suffice.  Let W_k be the span of the
+    words in S of length <= k (the empty word, the identity, included when
+    include_identity is set) and F the elements added to reach W_k.  Every
+    word of length k + 1 is a word of length <= k times a generator, so
+    W_{k+1} = W_k + W_k S = W_k + F S, since W_{k-1} S lies in W_k.  So each
+    level multiplies only the previous level's new elements, on the right,
+    and the closure stops when a level adds nothing.
     """
     S = [tuple(elem) for elem in S]
     if field is None:
@@ -158,9 +166,9 @@ def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
             if span.dim == ambient:
                 break
             for g in S:
-                for prod in (_element_mul(e, g), _element_mul(g, e)):
-                    if span.insert(_element_vector(prod)):
-                        new_frontier.append(prod)
+                prod = _element_mul(e, g)
+                if span.insert(_element_vector(prod)):
+                    new_frontier.append(prod)
         frontier = new_frontier
     dim = span.dim
     ok = dim == ambient
@@ -172,12 +180,11 @@ def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
     )
 
 
-def generates_single(mats: Sequence[Mat], include_identity: bool = True) -> GenReport:
+def generates_single(mats: Sequence[Mat]) -> GenReport:
     """Do these matrices generate the full M_n over their (field) domain?"""
     mats = list(mats)
     n = mats[0].n
-    return closure_generates([(a,) for a in mats], shape_of(n),
-                             include_identity=include_identity)
+    return closure_generates([(a,) for a in mats], shape_of(n))
 
 
 def tuple_criterion_generates(tuples: Sequence[MatTuple], copies: Optional[int] = None) -> GenReport:
@@ -300,12 +307,16 @@ def det_commutator_generates(a: Mat, b: Mat) -> bool:
     return a.domain.is_unit(det(commutator(a, b)))
 
 
-def lattice_generates_MnZ(S: Sequence[Mat], n: int, max_rounds: int = 64):
+def lattice_generates_MnZ(S: Sequence[Mat], n: int):
     """Does S generate M_n(Z) as a ring?  (identity adjoined throughout)
 
-    Iterates the HNF closure of the Z-span of S, I_n and pairwise products
-    of the current lattice basis until it stabilizes; generation means the
-    closure is the full lattice Z^{n^2}.
+    The ring is the Z-span of the words in S, grown by right products as in
+    closure_generates: each round replaces the lattice L by the HNF of L + L S,
+    formed from every basis row times every element of S, until the basis is
+    unchanged.  Generation means the closure is the full lattice Z^{n^2}.
+    The loop ends because Z^{n^2} is Noetherian: each round that changes the
+    basis either raises the rank or at least halves the index of the lattice
+    in its saturation.
     """
     S = list(S)
     for a in S:
@@ -315,20 +326,15 @@ def lattice_generates_MnZ(S: Sequence[Mat], n: int, max_rounds: int = 64):
             raise DomainError("lattice test requires integer matrices")
     from .domains import ZZ
 
-    base_rows = [vectorize(a) for a in S]
-    base_rows.append(vectorize(identity(ZZ, n)))
-    lattice = lattice_from_rows(base_rows, n * n)
-    for _ in range(max_rounds):
-        basis_mats = [unvectorize(ZZ, n, row) for row in lattice.basis]
-        rows = list(base_rows)
-        rows.extend(lattice.basis)
-        for x in basis_mats:
-            for y in basis_mats:
-                rows.append(vectorize(mmul(x, y)))
+    rows = [vectorize(a) for a in S]
+    rows.append(vectorize(identity(ZZ, n)))
+    lattice = lattice_from_rows(rows, n * n)
+    while True:
+        rows = list(lattice.basis)
+        for row in lattice.basis:
+            b = unvectorize(ZZ, n, row)
+            rows.extend(vectorize(mmul(b, s)) for s in S)
         new_lattice = lattice_from_rows(rows, n * n)
         if new_lattice.basis == lattice.basis:
             return lattice.is_full, lattice
         lattice = new_lattice
-    raise RuntimeError(
-        f"lattice closure did not stabilize within {max_rounds} rounds; "
-        "this should be impossible for an ascending chain in Z^(n^2)")

@@ -98,13 +98,6 @@ def smul(c, a: Mat) -> Mat:
     return Mat(d, a.n, tuple(tuple(d.mul(c, x) for x in row) for row in a.rows))
 
 
-def mat_pow(a: Mat, e: int) -> Mat:
-    out = identity(a.domain, a.n)
-    for _ in range(e):
-        out = mmul(out, a)
-    return out
-
-
 def is_zero_mat(a: Mat) -> bool:
     return all(a.domain.is_zero(x) for x in a.entries())
 
@@ -137,6 +130,8 @@ def commutator(a: Mat, b: Mat) -> Mat:
 
 def reduce_mod(a: Mat, p: int) -> Mat:
     """The integer matrix a with its entries reduced into F_p."""
+    if a.domain.kind != "integers":
+        raise DomainError("reduce_mod needs an integer matrix")
     return mat(build_ext_field(p, 1), a.rows)
 
 
@@ -304,15 +299,6 @@ def char_poly(a: Mat) -> tuple:
     coeffs = det_rows(rows, _PolyRing(d))
     coeffs = coeffs + [d.zero()] * (n + 1 - len(coeffs))
     return tuple(coeffs)
-
-
-def poly_eval_mat(coeffs, a: Mat) -> Mat:
-    """Evaluate a polynomial (lowest degree first) at a matrix."""
-    d = a.domain
-    out = zero_mat(d, a.n)
-    for c in reversed(coeffs):
-        out = madd(mmul(out, a), smul(c, identity(d, a.n)))
-    return out
 
 
 # ---------------------------------------------------------------------------

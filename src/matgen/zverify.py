@@ -64,26 +64,31 @@ class ZGenVerdict:
         }
 
 
+def _integer_elements(generators) -> list:
+    """The generators as tuples of integer Mat, one per copy; refuses an
+    empty set, a non-integer entry or differing copy counts."""
+    elems = [tuple(g.mats) if hasattr(g, "mats") else tuple(g) for g in generators]
+    if not elems:
+        raise DomainError("need at least one generator")
+    for elem in elems:
+        if len(elem) != len(elems[0]):
+            raise DomainError("generators must share the copy count")
+        if any(a.domain != ZZ for a in elem):
+            raise DomainError("integer matrices required")
+    return elems
+
+
 def verify_z_tuples(generators: Sequence, prime_sample=(2, 3, 5)) -> ZGenVerdict:
     """Certify k integer tuples as generators of M_2(Z)^m.
 
     generators: k sequences of m integer 2x2 Mat (or MatTuple).  Complete
     for n = 2; use verify_z_prime_sweep for other sizes (incomplete).
     """
-    elems = [tuple(g.mats) if hasattr(g, "mats") else tuple(g) for g in generators]
-    if not elems:
-        raise DomainError("need at least one generator")
+    elems = _integer_elements(generators)
+    if any(a.n != 2 for elem in elems for a in elem):
+        raise DomainError("complete certification needs n = 2; "
+                          "use verify_z_prime_sweep for other sizes")
     m = len(elems[0])
-    for elem in elems:
-        if len(elem) != m:
-            raise DomainError("generators must share the copy count")
-        for a in elem:
-            if a.domain != ZZ:
-                raise DomainError("integer matrices required")
-            if a.n != 2:
-                raise DomainError(
-                    "complete certification needs n = 2; "
-                    "use verify_z_prime_sweep for other sizes")
     k = len(elems)
 
     componentwise = []
@@ -135,7 +140,7 @@ def verify_z_prime_sweep(generators: Sequence, primes=(2, 3, 5, 7, 11, 13)) -> d
     A failing prime is a definitive negative; passing every sampled prime
     certifies nothing, which the report states explicitly.
     """
-    elems = [tuple(g.mats) if hasattr(g, "mats") else tuple(g) for g in generators]
+    elems = _integer_elements(generators)
     sizes = tuple(a.n for a in elems[0])
     blocks = []
     for n_i in sizes:

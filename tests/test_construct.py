@@ -29,13 +29,19 @@ from matgen.linalg import (
     identity,
     is_zero_mat,
     mat,
-    mat_pow,
     mmul,
     unit_mat,
 )
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+
+
+def mat_pow(a, e: int):
+    out = identity(a.domain, a.n)
+    for _ in range(e):
+        out = mmul(out, a)
+    return out
 
 
 # --- the standard pair ---------------------------------------------------------

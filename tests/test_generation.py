@@ -1,13 +1,15 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
-from matgen.domains import ZZ, PrimeField, field_of_order
+from matgen.domains import QQ, ZZ, PrimeField, field_of_order
 from matgen.generation import (
     ClosureDeficient,
     ConjugatePair,
     CrossSectionFails,
+    DirectSumShape,
     common_eigenline,
     closure_generates,
     det_commutator_generates,
@@ -20,14 +22,19 @@ from matgen.generation import (
 )
 from matgen.linalg import (
     ALL_LINES,
+    Echelon,
     Mat,
     commutator,
     det,
     identity,
+    lattice_from_rows,
     madd,
     mat,
+    mmul,
     smul,
     unit_mat,
+    unvectorize,
+    vectorize,
 )
 
 F2 = PrimeField(2)
@@ -86,6 +93,63 @@ def test_identity_irrelevance():
             with_id = closure_generates(S, shape, include_identity=True)
             without = closure_generates(S, shape, include_identity=False)
             assert with_id.verdict == without.verdict
+
+
+def both_sided_closure(S, shape, include_identity, field):
+    """Reference span closure: every level multiplies the new elements by
+    every generator on both sides.  Returns (verdict, closure_dim)."""
+    def vec(elem):
+        return tuple(x for a in elem for x in vectorize(a))
+
+    span = Echelon(field)
+    if include_identity:
+        span.insert(vec(tuple(identity(field, n) for n in shape.copy_sizes)))
+    frontier = [elem for elem in S if span.insert(vec(elem))]
+    while frontier:
+        new_frontier = []
+        for e in frontier:
+            for g in S:
+                for prod in (tuple(map(mmul, e, g)), tuple(map(mmul, g, e))):
+                    if span.insert(vec(prod)):
+                        new_frontier.append(prod)
+        frontier = new_frontier
+    return span.dim == shape.total_dim, span.dim
+
+
+def _rand_element(field, sizes, rng, triangular, repeat):
+    if field is QQ:
+        pick = lambda: Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+    else:
+        elems = list(field.elements())
+        pick = lambda: rng.choice(elems)
+    out = []
+    for n in sizes:
+        if repeat and out and out[-1].n == n:
+            out.append(out[-1])
+            continue
+        out.append(mat(field, [[field.zero() if triangular and i > j else pick()
+                                for j in range(n)] for i in range(n)]))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", [2, 5, 4, 8, 9, 81, "Q"])
+def test_right_product_closure_matches_both_sided_reference(q):
+    field = QQ if q == "Q" else field_of_order(q)
+    rng = random.Random(f"closure-{q}")
+    shapes = [shape_of(2), shape_of(3), shape_of(2, 2),
+              DirectSumShape(((2, 1), (3, 1)))]
+    verdicts = set()
+    for shape in shapes:
+        for trial in range(4 if q in (81, "Q") else 12):
+            triangular, repeat = trial % 4 == 1, trial % 4 == 2
+            S = [_rand_element(field, shape.copy_sizes, rng, triangular, repeat)
+                 for _ in range(1 + trial % 3)]
+            for include_identity in (True, False):
+                rep = closure_generates(S, shape, include_identity, field)
+                want = both_sided_closure(S, shape, include_identity, field)
+                assert (rep.verdict, rep.closure_dim) == want
+                verdicts.add(rep.verdict)
+    assert verdicts == {True, False}
 
 
 # --- the tuple criterion ----------------------------------------------------
@@ -239,9 +303,10 @@ def test_det_commutator_examples():
 def test_lattice_standard_pair():
     from matgen.construct import standard_xy
 
-    X, Y = standard_xy(2, ZZ)
-    ok, lat = lattice_generates_MnZ([X, Y], 2)
-    assert ok and lat.is_full
+    for n in range(2, 9):
+        X, Y = standard_xy(n, ZZ)
+        ok, lat = lattice_generates_MnZ([X, Y], n)
+        assert ok and lat.is_full
 
 
 def test_lattice_doubled_units_fail_with_index_8():
@@ -277,3 +342,39 @@ def test_lattice_true_implies_modp_closure():
     X, Y = standard_xy(2, ZZ)
     assert lattice_generates_MnZ([X, Y], 2)[0]
     assert hits >= 3  # the sample must actually exercise the implication
+
+
+def squaring_lattice_closure(S, n):
+    """Reference lattice closure: each round adds S, I_n and every product
+    of two basis elements, until the HNF basis is unchanged."""
+    base = [vectorize(a) for a in S] + [vectorize(identity(ZZ, n))]
+    lattice = lattice_from_rows(base, n * n)
+    while True:
+        mats = [unvectorize(ZZ, n, row) for row in lattice.basis]
+        rows = base + list(lattice.basis)
+        rows += [vectorize(mmul(x, y)) for x in mats for y in mats]
+        new_lattice = lattice_from_rows(rows, n * n)
+        if new_lattice.basis == lattice.basis:
+            return lattice
+        lattice = new_lattice
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_right_product_lattice_matches_squaring_reference(n):
+    from matgen.construct import standard_xy
+
+    rng = random.Random(16 + n)
+    X, Y = standard_xy(n, ZZ)
+    units = [unit_mat(ZZ, n, i, j) for i in range(n) for j in range(n)]
+    sets = [[X, Y], [smul(3, X), smul(3, Y)], [smul(2, X), Y], [X, smul(2, Y)],
+            [smul(2, u) for u in units], [units[1]], [units[0], units[-1]], []]
+    for _ in range(30 if n == 2 else 10):
+        sets.append([mat(ZZ, [[rng.randrange(-3, 4) for _ in range(n)]
+                              for _ in range(n)]) for _ in range(1 + rng.randrange(2))])
+    verdicts = set()
+    for S in sets:
+        ok, lat = lattice_generates_MnZ(S, n)
+        want = squaring_lattice_closure(S, n)
+        assert lat.basis == want.basis and ok == want.is_full
+        verdicts.add(ok)
+    assert verdicts == {True, False}

@@ -8,6 +8,7 @@ import pytest
 from matgen.domains import (
     QQ,
     ZZ,
+    DomainError,
     PrimeField,
     build_ext_field,
     field_of_order,
@@ -25,15 +26,18 @@ from matgen.linalg import (
     kernel_basis,
     lattice_from_rows,
     line_is_invariant,
+    madd,
     mat,
-    poly_eval_mat,
+    mmul,
     quadratic_eigvecs,
     reduce_mod,
     rref,
+    smul,
     snf,
     subspace_intersection,
     unit_mat,
     vectorize,
+    zero_mat,
 )
 
 F2 = PrimeField(2)
@@ -125,6 +129,15 @@ def test_char_poly_examples():
     assert char_poly(unit_mat(QQ, 2, 0, 1)) == (Fraction(0), Fraction(0), Fraction(1))
     fib = mat(QQ, [[0, 1], [1, 1]])
     assert char_poly(fib) == (Fraction(-1), Fraction(-1), Fraction(1))
+
+
+def poly_eval_mat(coeffs, a: Mat) -> Mat:
+    """Evaluate a polynomial (lowest degree first) at a matrix."""
+    d = a.domain
+    out = zero_mat(d, a.n)
+    for c in reversed(coeffs):
+        out = madd(mmul(out, a), smul(c, identity(d, a.n)))
+    return out
 
 
 @pytest.mark.parametrize("domain", [F2, F3, PrimeField(5), build_ext_field(2, 2), QQ])
@@ -340,3 +353,10 @@ def test_reduce_mod_reuses_the_prime_field(monkeypatch):
     for _ in range(100):
         assert reduce_mod(a, 5).rows == ((2, 2), (2, 0))
     assert calls == []
+
+
+@pytest.mark.parametrize("domain", [QQ, F3, build_ext_field(2, 2)])
+def test_reduce_mod_refuses_non_integer_matrices(domain):
+    a = mat(domain, [[Fraction(1, 2) if domain is QQ else 1, 0], [0, 1]])
+    with pytest.raises(DomainError):
+        reduce_mod(a, 5)

@@ -1,9 +1,10 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from matgen.construct import standard_xy, table16
-from matgen.domains import ZZ, DomainError
+from matgen.domains import QQ, ZZ, DomainError
 from matgen.generation import det_commutator_generates, lattice_generates_MnZ
 from matgen.linalg import mat, unit_mat
 from matgen.zverify import (
@@ -64,6 +65,14 @@ def test_sweep_refutes_scaled_sets():
     sweep = verify_z_prime_sweep([(smul(3, X),), (smul(3, Y),)],
                                  primes=(2, 3, 5))
     assert sweep["refuted_at"] == [3]
+
+
+def test_sweep_refuses_malformed_input():
+    X, Y = standard_xy(2, ZZ)
+    half = mat(QQ, [[Fraction(1, 2), 0], [0, 1]])
+    for generators in ([], [(X,), (half,)], [(X,), (Y, X)]):
+        with pytest.raises(DomainError):
+            verify_z_prime_sweep(generators)
 
 
 def test_det_and_lattice_agree_exhaustively():
