@@ -28,7 +28,7 @@ from typing import Optional
 from .domains import DomainError, field_of_order, is_prime_power
 from .linalg import det_rows, kernel_basis, rref, subspace_intersection
 
-DEFAULT_ENUMERATION_CAP = 2**26
+CENSUS_CAP = 2**26
 # A census uses at most one worker process per this many ambient tuples:
 # starting a pool costs about 25 ms, which a two-worker split of a smaller
 # census does not win back.
@@ -329,8 +329,7 @@ def pgl_order(q: int, n: int) -> int:
 
 
 def count_generating_bruteforce(q: int, n: int, m: int,
-                                threads: Optional[int] = 1,
-                                cap: int = DEFAULT_ENUMERATION_CAP) -> CensusResult:
+                                threads: Optional[int] = 1) -> CensusResult:
     """Exact count of generating m-tuples in M_n(F_q)^m by enumeration.
 
     Deterministic partitioned enumeration (by first component); the result
@@ -343,8 +342,8 @@ def count_generating_bruteforce(q: int, n: int, m: int,
     if m < 0:
         raise DomainError("m must be >= 0")
     ambient = q ** (m * n * n)
-    if ambient > cap:
-        raise DomainError(f"ambient count {ambient} exceeds cap {cap}")
+    if ambient > CENSUS_CAP:
+        raise DomainError(f"ambient count {ambient} exceeds cap {CENSUS_CAP}")
     start = time.perf_counter()
     pgl = pgl_order(q, n)
     if m == 0:
@@ -410,7 +409,7 @@ def _pgl_conj_perms(q: int, n: int):
     return tuple(perms)
 
 
-def orbit_count(q: int, n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def orbit_count(q: int, n: int, m: int) -> int:
     """Number of PGL-conjugation orbits on the generating m-tuples.
 
     Counts lexicographically-least orbit representatives; the free action
@@ -422,12 +421,12 @@ def orbit_count(q: int, n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> i
     if m < 0:
         raise DomainError("m must be >= 0")
     ambient = q ** (m * n * n)
-    if ambient > cap:
-        raise DomainError(f"ambient count {ambient} exceeds cap {cap}")
+    if ambient > CENSUS_CAP:
+        raise DomainError(f"ambient count {ambient} exceeds cap {CENSUS_CAP}")
     table = pgl_order(q, n) * q ** (n * n)
-    if table > cap:
+    if table > CENSUS_CAP:
         raise DomainError(f"the PGL permutation table of {table} entries "
-                          f"exceeds cap {cap}")
+                          f"exceeds cap {CENSUS_CAP}")
     perms = _pgl_conj_perms(q, n)
     canonical = 0
     generating = 0

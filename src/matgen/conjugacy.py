@@ -11,6 +11,7 @@ the elementary divisors of the system) checked individually.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .linalg import (
     mat,
     mmul,
     reduce_mod,
+    smul,
     snf,
     unvectorize,
 )
@@ -132,11 +134,10 @@ def intertwiners(tuple_a, tuple_b) -> IntertwinerSpace:
         raise DomainError("tuples must share size, length and domain")
     n = tuple_a.n
     domain = tuple_a.domain
+    rows = _stacked_rows(tuple_a, tuple_b, domain)
     if domain.is_field:
-        rows = _stacked_rows(tuple_a, tuple_b, domain)
         vecs = kernel_basis(rows, domain, ncols=n * n)
     elif domain == ZZ:
-        rows = _stacked_rows(tuple_a, tuple_b, ZZ)
         vecs = integer_kernel_saturated(rows, n * n)
     else:
         raise DomainError("intertwiners work over a field or Z")
@@ -147,70 +148,59 @@ def intertwiners(tuple_a, tuple_b) -> IntertwinerSpace:
     return IntertwinerSpace(basis=basis, dim=len(basis))
 
 
+def _form_points(basis):
+    """(b, det b) for each basis matrix b_i, then for each b_i + b_j, i < j.
+
+    For 2x2 matrices det is a quadratic form on the span of the basis, and
+    these values list its coefficients in any characteristic: det(b_i) and
+    det(b_i + b_j) - det(b_i) - det(b_j).  So the form vanishes on the span
+    exactly when it vanishes at every point yielded here.
+    """
+    for b in basis:
+        yield b, det(b)
+    for b_i, b_j in itertools.combinations(basis, 2):
+        b = madd(b_i, b_j)
+        yield b, det(b)
+
+
 def _witness_from_span(space: IntertwinerSpace, field):
     """Invertible element of the span, or None.
 
-    Enumerates when q^dim is small; otherwise (n = 2) uses det as a
-    quadratic form: det(b_i) and det(b_i + b_j) list its coefficients, so a
-    nonzero value occurs at some b_i or b_i + b_j as soon as the form is
-    nonzero.
+    n = 2: the first point of _form_points whose det is a unit.  n >= 3:
+    enumeration of the span while q^dim fits ENUMERATION_CAP; above the cap,
+    and over Q, UndecidableError is raised.
     """
     dim = space.dim
     if dim == 0:
         return None
     n = space.basis[0].n
-    q = field.size
-    if q**dim <= ENUMERATION_CAP:
-        elems = list(field.elements())
-        zero = field.zero()
-        for coeffs in itertools.product(elems, repeat=dim):
-            if all(c == zero for c in coeffs):
-                continue
-            cand = _combine(space.basis, coeffs, field)
-            if field.is_unit(det(cand)):
-                return cand
-        return None
-    if n != 2:
+    if n == 2:
+        return next((b for b, d in _form_points(space.basis)
+                     if field.is_unit(d)), None)
+    if field.char == 0 or field.size**dim > ENUMERATION_CAP:
         raise UndecidableError(
-            f"n = {n} intertwiner space of dimension {dim} over q = {q} "
+            f"n = {n} intertwiner space of dimension {dim} over {field!r} "
             "exceeds the enumeration cap; undecidable under current strategy")
-    for b in space.basis:
-        if field.is_unit(det(b)):
-            return b
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            cand = madd(space.basis[i], space.basis[j])
-            if field.is_unit(det(cand)):
-                return cand
+    zero = field.zero()
+    for coeffs in itertools.product(field.elements(), repeat=dim):
+        if all(c == zero for c in coeffs):
+            continue
+        cand = functools.reduce(
+            madd, (smul(c, b) for c, b in zip(coeffs, space.basis)))
+        if field.is_unit(det(cand)):
+            return cand
     return None
 
 
-def _combine(basis, coeffs, field):
-    n = basis[0].n
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            acc = field.zero()
-            for coef, b in zip(coeffs, basis):
-                acc = field.add(acc, field.mul(coef, b.rows[r][c]))
-            row.append(acc)
-        rows.append(tuple(row))
-    return Mat(field, n, tuple(rows))
+def _witness(tuple_a, tuple_b, space: IntertwinerSpace):
+    """Invertible C with C A_i = B_i C for all i, or None, over a field.
 
-
-def simultaneously_conjugate(tuple_a, tuple_b) -> Optional[Mat]:
-    """Witness C in GL_n with C A_i = B_i C for all i, or None.
-
-    Complete for any n when q^dim fits the enumeration cap, and for n = 2
-    always (det is a quadratic form on the intertwiner space).
+    The identity for equal tuples, else the rule of _witness_from_span on
+    their intertwiner space; a witness is revalidated before it is returned.
     """
     field = tuple_a.domain
-    if not field.is_field:
-        raise DomainError("simultaneously_conjugate requires a field")
     if tuple_a.mats == tuple_b.mats:
         return identity(field, tuple_a.n)
-    space = intertwiners(tuple_a, tuple_b)
     w = _witness_from_span(space, field)
     if w is not None:
         if not (_check_intertwines(w, tuple_a, tuple_b) and field.is_unit(det(w))):
@@ -218,25 +208,26 @@ def simultaneously_conjugate(tuple_a, tuple_b) -> Optional[Mat]:
     return w
 
 
+def simultaneously_conjugate(tuple_a, tuple_b) -> Optional[Mat]:
+    """Witness C in GL_n with C A_i = B_i C for all i, or None.
+
+    n = 2 is decided by det, a quadratic form on the intertwiner space, at
+    any q; n >= 3 by enumerating the intertwiner space while q^dim fits
+    ENUMERATION_CAP, and refused with UndecidableError above it and over Q.
+    """
+    if not tuple_a.domain.is_field:
+        raise DomainError("simultaneously_conjugate requires a field")
+    return _witness(tuple_a, tuple_b, intertwiners(tuple_a, tuple_b))
+
+
 def _modp_verdict(tuple_a, tuple_b, p: int) -> PrimeVerdict:
     from .generation import mat_tuple
 
-    f = build_ext_field(p, 1)
     a_p = mat_tuple([reduce_mod(a, p) for a in tuple_a.mats])
     b_p = mat_tuple([reduce_mod(b, p) for b in tuple_b.mats])
     space = intertwiners(a_p, b_p)
-    if a_p.mats == b_p.mats:
-        return PrimeVerdict(p, space.dim, True, identity(f, tuple_a.n))
-    w = _witness_from_span(space, f)
+    w = _witness(a_p, b_p, space)
     return PrimeVerdict(p, space.dim, w is not None, w)
-
-
-def _primes():
-    n = 2
-    while True:
-        if is_prime(n):
-            yield n
-        n += 1
 
 
 def nonconjugate_all_primes(tuple_a, tuple_b) -> NonConjCertificate:
@@ -253,22 +244,16 @@ def nonconjugate_all_primes(tuple_a, tuple_b) -> NonConjCertificate:
     if tuple_a.n != 2:
         raise DomainError("all-primes certification is complete for n = 2 only")
     space = intertwiners(tuple_a, tuple_b)
-    dets = tuple(det(b) for b in space.basis)
-    cross = tuple(
-        (i, j, det(madd(space.basis[i], space.basis[j])) - dets[i] - dets[j])
-        for i in range(space.dim)
-        for j in range(i + 1, space.dim)
-    )
-    vanishes = all(d == 0 for d in dets) and all(v == 0 for _, _, v in cross)
+    dim = space.dim
+    points = list(_form_points(space.basis))
+    dets = tuple(d for _, d in points[:dim])
+    pairs = itertools.combinations(range(dim), 2)
+    cross = tuple((i, j, d - dets[i] - dets[j])
+                  for (i, j), (_, d) in zip(pairs, points[dim:]))
+    vanishes = all(d == 0 for _, d in points)
 
     rows = _stacked_rows(tuple_a, tuple_b, ZZ)
-    divisor_primes = set()
-    for d in snf(rows):
-        d = abs(d)
-        if d > 1:
-            for p in _prime_factors(d):
-                divisor_primes.add(p)
-    exceptional = sorted(divisor_primes | {2})
+    exceptional = sorted({2}.union(*(_prime_factors(abs(d)) for d in snf(rows))))
 
     verdicts = {p: _modp_verdict(tuple_a, tuple_b, p) for p in exceptional}
     witness = None
@@ -282,9 +267,8 @@ def nonconjugate_all_primes(tuple_a, tuple_b) -> NonConjCertificate:
         # det is nonzero somewhere on the rational kernel, so some prime
         # conjugates; sweep upward until one is exhibited.
         overall = False
-        point = _nonvanishing_point(space, dets, cross)
-        bound = abs(det(point))
-        for p in _primes():
+        bound = next(abs(d) for _, d in points if d != 0)
+        for p in filter(is_prime, itertools.count(2)):
             v = verdicts.get(p) or _modp_verdict(tuple_a, tuple_b, p)
             verdicts.setdefault(p, v)
             if v.invertible_found:
@@ -295,7 +279,7 @@ def nonconjugate_all_primes(tuple_a, tuple_b) -> NonConjCertificate:
 
     ordered = tuple(verdicts[p] for p in sorted(verdicts))
     return NonConjCertificate(
-        rational_kernel_dim=space.dim,
+        rational_kernel_dim=dim,
         det_vanishes_on_kernel=vanishes,
         polarization_dets=dets,
         polarization_cross=cross,
@@ -303,16 +287,6 @@ def nonconjugate_all_primes(tuple_a, tuple_b) -> NonConjCertificate:
         witness=witness,
         overall=overall,
     )
-
-
-def _nonvanishing_point(space, dets, cross) -> Mat:
-    for b, d in zip(space.basis, dets):
-        if d != 0:
-            return b
-    for i, j, v in cross:
-        if v != 0:
-            return madd(space.basis[i], space.basis[j])
-    raise RuntimeError("no nonvanishing point although the form is nonzero; bug")
 
 
 def _prime_factors(n: int):

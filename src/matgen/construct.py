@@ -24,7 +24,8 @@ from .generation import (
     lattice_generates_MnZ,
     shape_of,
 )
-from .linalg import Mat, identity, is_zero_mat, mat, mmul, reduce_mod, zero_mat
+from .linalg import Mat, identity, is_zero_mat, madd, mat, mmul, smul, zero_mat
+from .zverify import SAMPLE_PRIMES, closure_mod_p
 
 STANDARD_XY = "standard-xy"
 GAP_PLUS_ONE = "gap-plus-one"
@@ -53,38 +54,32 @@ class GeneratorFamily:
         return len(self.generators)
 
 
-def _cross_sections(family: GeneratorFamily):
-    copies = len(family.shape.copy_sizes)
-    return [tuple(g[i] for g in family.generators) for i in range(copies)]
-
-
-def verify_family(family: GeneratorFamily, prime_sample=(2, 3, 5)) -> bool:
+def verify_family(family: GeneratorFamily) -> bool:
     """Generation check: span closure over a field; over Z, per-copy lattice
-    closure plus closure of the whole sum modulo the sampled primes."""
-    domain = family.domain
+    closure plus closure of the whole sum modulo the primes SAMPLE_PRIMES."""
+    return _generates(family.generators, family.shape)
+
+
+def _generates(generators, shape) -> bool:
+    domain = generators[0][0].domain
     if domain.is_field:
-        return closure_generates(family.generators, family.shape).verdict
+        return closure_generates(generators, shape).verdict
     if domain != ZZ:
         raise DomainError("families live over a field or Z")
-    for i, cs in enumerate(_cross_sections(family)):
+    for cs in zip(*generators):  # the cross-sections, one per copy
         ok, _ = lattice_generates_MnZ(list(cs), cs[0].n)
         if not ok:
             return False
-    for p in prime_sample:
-        reduced = [tuple(reduce_mod(a, p) for a in elem)
-                   for elem in family.generators]
-        if not closure_generates(reduced, family.shape).verdict:
-            return False
-    return True
+    return all(closure_mod_p(generators, shape, p).verdict
+               for p in SAMPLE_PRIMES)
 
 
-def _emit(shape, generators, provenance, scalars=()) -> GeneratorFamily:
-    fam = GeneratorFamily(shape=shape, generators=tuple(generators),
-                          provenance=provenance, verified=True, scalars=scalars)
-    if not verify_family(fam):
+def _emit(shape, generators, provenance) -> GeneratorFamily:
+    if not _generates(generators, shape):
         raise RuntimeError(f"{provenance} construction failed its generation "
                            "check; refusing to emit")
-    return fam
+    return GeneratorFamily(shape=shape, generators=tuple(generators),
+                           provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -201,25 +196,16 @@ def scalar_family_generators(blocks, domain=QQ):
     for n_i, scalars in blocks:
         X, Y = standard_xy(n_i, domain)
         for a in scalars:
-            a_elem = domain.convert(a)
-            aX = Mat(domain, n_i, tuple(tuple(domain.mul(a_elem, x) for x in row)
-                                        for row in X.rows))
             xs.append(X)
-            ys.append(Mat(domain, n_i,
-                          tuple(tuple(domain.add(u, v) for u, v in zip(r1, r2))
-                                for r1, r2 in zip(aX.rows, Y.rows))))
+            ys.append(madd(smul(domain.convert(a), X), Y))
     shape = DirectSumShape(tuple((n_i, len(scalars)) for n_i, scalars in blocks))
-    fam = GeneratorFamily(shape=shape, generators=(tuple(xs), tuple(ys)),
-                          provenance=SCALAR_FAMILY, verified=True,
-                          scalars=tuple((n_i, scalars) for n_i, scalars in blocks))
-    ok = verify_family(fam)
-    if domain == QQ:
-        if not ok:
-            raise RuntimeError("scalar family failed exact-rational closure; bug")
-        return fam
-    return GeneratorFamily(shape=shape, generators=fam.generators,
+    generators = (tuple(xs), tuple(ys))
+    ok = _generates(generators, shape)
+    if domain == QQ and not ok:
+        raise RuntimeError("scalar family failed exact-rational closure; bug")
+    return GeneratorFamily(shape=shape, generators=generators,
                            provenance=SCALAR_FAMILY, verified=ok,
-                           scalars=fam.scalars)
+                           scalars=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +243,7 @@ def nc_eval(poly: dict, X: Mat, Y: Mat):
         term = identity(domain, X.n)
         for letter in word:
             term = mmul(term, X if letter == "x" else Y)
-        c = domain.convert(coeff)
-        rows = tuple(tuple(domain.add(a, domain.mul(c, t))
-                           for a, t in zip(ra, rt))
-                     for ra, rt in zip(acc.rows, term.rows))
-        acc = Mat(domain, X.n, rows)
+        acc = madd(acc, smul(domain.convert(coeff), term))
     return acc
 
 
@@ -295,11 +277,7 @@ def check_relations(n: int, domain) -> bool:
 def check_relations_shifted(n: int, domain, a) -> bool:
     """The relations of the shifted ideal vanish at the pair (X, aX + Y)."""
     X, Y = standard_xy(n, domain)
-    a_elem = domain.convert(a)
-    aX_plus_Y = Mat(domain, n,
-                    tuple(tuple(domain.add(domain.mul(a_elem, x), y)
-                                for x, y in zip(rx, ry))
-                          for rx, ry in zip(X.rows, Y.rows)))
+    aX_plus_Y = madd(smul(domain.convert(a), X), Y)
     return all(is_zero_mat(nc_eval(nc_subst_y(poly, -a), X, aX_plus_Y))
                for _, poly in relation_set(n).relations)
 

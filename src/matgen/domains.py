@@ -540,7 +540,10 @@ class RationalField:
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def parse_elem(self, s: str) -> Fraction:
-        return Fraction(s)
+        # only the "n" and "n/d" forms: Fraction would also read exponents,
+        # and building "1e10000000" from its 10 characters took 13 s
+        num, slash, den = s.partition("/")
+        return Fraction(int(num), int(den) if slash else 1)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -573,8 +576,14 @@ def build_ext_field(p: int, k: int):
         # the base-p digits of n, most significant first, are a_{k-1}..a_0
         coeffs = [n // p**j % p for j in range(k)] + [1]
         if _is_irreducible(coeffs, p):
-            return ExtField(p, k, tuple(coeffs))
+            return _ext_field(p, k, tuple(coeffs))
     raise DomainError(f"no irreducible modulus of degree {k} over F_{p}")  # unreachable
+
+
+@lru_cache(maxsize=None)
+def _ext_field(p: int, k: int, modulus: tuple):
+    """The one ExtField object, with its tables, per (p, k, modulus)."""
+    return ExtField(p, k, modulus)
 
 
 @lru_cache(maxsize=None)
@@ -639,12 +648,27 @@ def domain_to_json(domain) -> dict:
     raise DomainError(f"unknown domain {domain!r}")
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer; a float (7.5 or 7.0) or a bool is refused."""
+    if type(value) is not int:
+        raise DomainError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def domain_from_json(data: dict):
+    """The domain a document names; fields come from the cached
+    constructors, so loading a document twice yields the same object."""
+    if not isinstance(data, dict):
+        raise DomainError("the coefficient domain must be a JSON object")
     kind = data.get("kind")
     if kind == "prime_field":
-        return PrimeField(data["p"])
+        return build_ext_field(json_int(data["p"], "p"), 1)
     if kind == "ext_field":
-        return ExtField(data["p"], data["deg"], tuple(data["modulus"]))
+        modulus = data["modulus"]
+        if not isinstance(modulus, list):
+            raise DomainError("modulus must be a list of integers")
+        return _ext_field(json_int(data["p"], "p"), json_int(data["deg"], "deg"),
+                          tuple(json_int(c, "modulus") for c in modulus))
     if kind == "integers":
         return ZZ
     if kind == "rationals":

@@ -8,7 +8,7 @@ det-commutator criterion, and the integer lattice-closure test for M_n(Z).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import conjugacy
 from .domains import DomainError, quadratic_extension
@@ -187,7 +187,7 @@ def generates_single(mats: Sequence[Mat]) -> GenReport:
     return closure_generates([(a,) for a in mats], shape_of(n))
 
 
-def tuple_criterion_generates(tuples: Sequence[MatTuple], copies: Optional[int] = None) -> GenReport:
+def tuple_criterion_generates(tuples: Sequence[MatTuple]) -> GenReport:
     """Do k m-tuples generate M_n(F)^m?
 
     True exactly when every vertical cross-section generates M_n(F) and no
@@ -200,8 +200,6 @@ def tuple_criterion_generates(tuples: Sequence[MatTuple], copies: Optional[int] 
     m = tuples[0].m
     n = tuples[0].n
     field = tuples[0].domain
-    if copies is not None and copies != m:
-        raise DomainError("copies does not match tuple length")
     for t in tuples:
         if t.m != m or t.n != n or t.domain != field:
             raise DomainError("mismatched tuple shapes")

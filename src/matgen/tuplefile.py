@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .domains import DomainError, domain_from_json, domain_to_json
+from .domains import DomainError, domain_from_json, domain_to_json, json_int
 from .generation import DirectSumShape
 from .linalg import Mat
 
@@ -42,33 +42,38 @@ def family_to_tuplefile(family) -> dict:
     }
 
 
+def _matrix(domain, rows, n: int) -> Mat:
+    """An n x n Mat from nested lists of element strings."""
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(r, list) and len(r) == n for r in rows)):
+        raise DomainError("matrix does not match its block size")
+    if not all(isinstance(x, str) for r in rows for x in r):
+        raise DomainError("matrix entries must be strings")
+    return Mat(domain, n, tuple(tuple(domain.parse_elem(x) for x in r)
+                                for r in rows))
+
+
 def tuplefile_from_json(data: dict) -> TupleFile:
     try:
         domain = domain_from_json(data["coeff"])
-        shape = DirectSumShape(tuple((int(n_i), int(m_i))
+        shape = DirectSumShape(tuple((json_int(n_i, "shape"), json_int(m_i, "shape"))
                                      for n_i, m_i in data["shape"]))
         elems = data["generators"]
-        if not elems:
+        if not isinstance(elems, list) or not elems:
             raise DomainError("no generators in file")
         # the shape may name far more copies than the document holds, so
         # its copy list is built only after the lengths agree
         copies = sum(m_i for _, m_i in shape.blocks)
-        if any(len(elem) != copies for elem in elems):
+        if any(not isinstance(elem, list) or len(elem) != copies
+               for elem in elems):
             raise DomainError("generator does not match the shape")
         sizes = shape.copy_sizes
-        generators = []
-        for elem in elems:
-            mats = []
-            for rows, n_i in zip(elem, sizes):
-                if len(rows) != n_i or any(len(r) != n_i for r in rows):
-                    raise DomainError("matrix does not match its block size")
-                mats.append(Mat(domain, n_i,
-                                tuple(tuple(domain.parse_elem(x) for x in row)
-                                      for row in rows)))
-            generators.append(tuple(mats))
-    except (KeyError, TypeError, ValueError) as exc:
+        generators = tuple(tuple(_matrix(domain, rows, n_i)
+                                 for rows, n_i in zip(elem, sizes))
+                           for elem in elems)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed tuple file: {exc}") from exc
-    return TupleFile(domain=domain, shape=shape, generators=tuple(generators))
+    return TupleFile(domain=domain, shape=shape, generators=generators)
 
 
 def dumps(obj) -> str:

@@ -10,6 +10,7 @@ oracle on top.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,6 +24,19 @@ from .generation import (
     mat_tuple,
 )
 from .linalg import commutator, det, reduce_mod, smul
+
+# The primes at which construct.verify_family and verify_z_tuples also close
+# the whole integer family mod p, as a redundant check.
+SAMPLE_PRIMES = (2, 3, 5)
+# verify_z_prime_sweep's default and local_global_generator_count's primes.
+SWEEP_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def closure_mod_p(elems, shape: DirectSumShape, p: int):
+    """Span closure over F_p of the integer elements elems (each a tuple of
+    Mat, one per copy of shape) reduced mod p."""
+    return closure_generates(
+        [tuple(reduce_mod(a, p) for a in elem) for elem in elems], shape)
 
 
 @dataclass(frozen=True)
@@ -78,7 +92,7 @@ def _integer_elements(generators) -> list:
     return elems
 
 
-def verify_z_tuples(generators: Sequence, prime_sample=(2, 3, 5)) -> ZGenVerdict:
+def verify_z_tuples(generators: Sequence) -> ZGenVerdict:
     """Certify k integer tuples as generators of M_2(Z)^m.
 
     generators: k sequences of m integer 2x2 Mat (or MatTuple).  Complete
@@ -118,9 +132,8 @@ def verify_z_tuples(generators: Sequence, prime_sample=(2, 3, 5)) -> ZGenVerdict
 
     shape = DirectSumShape(((2, m),))
     direct = []
-    for p in prime_sample:
-        rep = closure_generates(
-            [tuple(reduce_mod(a, p) for a in elem) for elem in elems], shape)
+    for p in SAMPLE_PRIMES:
+        rep = closure_mod_p(elems, shape, p)
         direct.append((p, rep.closure_dim, rep.ambient_dim, rep.verdict))
 
     overall = all_components_ok and all_pairs_ok
@@ -134,25 +147,18 @@ def verify_z_tuples(generators: Sequence, prime_sample=(2, 3, 5)) -> ZGenVerdict
     )
 
 
-def verify_z_prime_sweep(generators: Sequence, primes=(2, 3, 5, 7, 11, 13)) -> dict:
+def verify_z_prime_sweep(generators: Sequence, primes=SWEEP_PRIMES) -> dict:
     """Mod-p generation of a direct sum over Z for the sampled primes only.
 
     A failing prime is a definitive negative; passing every sampled prime
     certifies nothing, which the report states explicitly.
     """
     elems = _integer_elements(generators)
-    sizes = tuple(a.n for a in elems[0])
-    blocks = []
-    for n_i in sizes:
-        if blocks and blocks[-1][0] == n_i:
-            blocks[-1][1] += 1
-        else:
-            blocks.append([n_i, 1])
-    shape = DirectSumShape(tuple((n_i, m_i) for n_i, m_i in blocks))
+    shape = DirectSumShape(tuple((n_i, len(list(run))) for n_i, run in
+                                 itertools.groupby(a.n for a in elems[0])))
     per_prime = []
     for p in primes:
-        rep = closure_generates(
-            [tuple(reduce_mod(a, p) for a in elem) for elem in elems], shape)
+        rep = closure_mod_p(elems, shape, p)
         per_prime.append({"p": p, "ok": rep.verdict,
                           "closure_dim": rep.closure_dim,
                           "ambient_dim": rep.ambient_dim})
@@ -174,7 +180,7 @@ class ScaledSetRecord:
     claims_hold: bool
 
 
-def scaled_set_counterexample(p0: int, primes=(2, 3, 5, 7)) -> ScaledSetRecord:
+def scaled_set_counterexample(p0: int) -> ScaledSetRecord:
     """No prime may be omitted: p0 * {X, Y} fails mod p0 and only there."""
     from .construct import standard_xy
 
@@ -182,12 +188,12 @@ def scaled_set_counterexample(p0: int, primes=(2, 3, 5, 7)) -> ScaledSetRecord:
     scaled = [smul(p0, X), smul(p0, Y)]
     plain = [X, Y]
     shape = DirectSumShape(((2, 1),))
-    test_primes = sorted(set(primes) | {p0})
+    test_primes = sorted({2, 3, 5, 7, p0})
 
     def dims(mats):
         out = []
         for p in test_primes:
-            rep = closure_generates([(reduce_mod(a, p),) for a in mats], shape)
+            rep = closure_mod_p([(a,) for a in mats], shape, p)
             out.append((p, rep.closure_dim, rep.verdict))
         return tuple(out)
 
@@ -221,7 +227,7 @@ class LocalGlobalReport:
         }
 
 
-def local_global_generator_count(k: int, primes=(2, 3, 5, 7, 11, 13)) -> LocalGlobalReport:
+def local_global_generator_count(k: int) -> LocalGlobalReport:
     """Smallest number of generators of M_2(Z)^k via the local data.
 
     r0 = 2 (two generators over Q exist for any k by the scalar-set
@@ -239,9 +245,9 @@ def local_global_generator_count(k: int, primes=(2, 3, 5, 7, 11, 13)) -> LocalGl
             m += 1
         return m
 
-    table = tuple((p, r_of(p)) for p in primes)
+    table = tuple((p, r_of(p)) for p in SWEEP_PRIMES)
     rmax = max(r for _, r in table)
-    max_at_2 = table[0][1] == rmax if table[0][0] == 2 else False
+    max_at_2 = table[0][1] == rmax
     if rmax > r0:
         return LocalGlobalReport(k, r0, table, "some r(p) > r0: r = max r(p)",
                              rmax, "local data alone", max_at_2)

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -6,11 +7,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matgen
 from matgen.cli import main
 from matgen.construct import GeneratorFamily, standard_xy_family, table16
-from matgen.domains import PrimeField, field_of_order
+from matgen.domains import QQ, PrimeField, field_of_order
 from matgen.generation import DirectSumShape
 from matgen.linalg import mat
 from matgen.tuplefile import dumps
@@ -116,6 +119,72 @@ def test_check_malformed_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken", encoding="utf-8")
     assert main(["check", "--input", str(path)]) == 2
+
+
+def test_check_malformed_numbers_exit_two_without_traceback(tmp_path, capsys):
+    # these used to load and then fail with a traceback and exit 1, or be
+    # read as integers and decided
+    path = tmp_path / "bad.json"
+    for coeff, entry in [('{"kind": "prime_field", "p": 7.5}', '"1"'),
+                         ('{"kind": "rationals"}', '"1/0"'),
+                         ('{"kind": "prime_field", "p": 5}', "1.5")]:
+        path.write_text('{"coeff": %s, "n": 2, "shape": [[2, 1]], '
+                        '"generators": [[[[%s, "0"], ["0", "1"]]]]}'
+                        % (coeff, entry), encoding="utf-8")
+        assert main(["check", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_bases():
+    """Small valid documents over F_5, F_4, Z and Q, as JSON text."""
+    f5, f4 = PrimeField(5), field_of_order(4)
+    return tuple(dumps(fam) for fam in (
+        standard_xy_family(2, f5),
+        standard_xy_family(2, f4),
+        GeneratorFamily(shape=DirectSumShape(((2, 2),)),
+                        generators=tuple(g[:2] for g in table16().generators),
+                        provenance="test"),
+        standard_xy_family(2, QQ),
+    ))
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaf_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _leaf_paths(child, path + (i,))
+    else:
+        yield path
+
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, width=32), st.text(max_size=8),
+    st.sampled_from(["0", "-1", "7", "1/0", "1,1", "1e99999999", "integers",
+                     "rationals", "prime_field", "ext_field"]),
+    st.lists(st.integers(0, 3), max_size=3), st.dictionaries(st.text(max_size=2),
+                                                            st.integers(), max_size=2))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_check_survives_one_mutated_leaf(tmp_path_factory, data):
+    # every outcome is an exit code of the CLI contract, never an exception
+    doc = json.loads(data.draw(st.sampled_from(_fuzz_bases())))
+    path = data.draw(st.sampled_from(list(_leaf_paths(doc))))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(_LEAVES)
+    target = tmp_path_factory.getbasetemp() / "fuzz.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["check", "--input", str(target)]) in (0, 1, 2)
+    assert time.perf_counter() - start < 5
 
 
 def test_check_missing_file_exits_two(tmp_path):

@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -13,7 +15,14 @@ from matgen.conjugacy import (
     nonconjugate_all_primes,
     simultaneously_conjugate,
 )
-from matgen.domains import QQ, ZZ, DomainError, PrimeField, build_ext_field
+from matgen.domains import (
+    QQ,
+    ZZ,
+    DomainError,
+    PrimeField,
+    build_ext_field,
+    field_of_order,
+)
 from matgen.generation import mat_tuple
 from matgen.linalg import (
     Mat,
@@ -22,6 +31,7 @@ from matgen.linalg import (
     madd,
     mat,
     mmul,
+    smul,
     unit_mat,
     zero_mat,
 )
@@ -128,6 +138,56 @@ def test_conjugation_invariance_of_verdicts():
             (simultaneously_conjugate(a, b_conj) is None)
 
 
+def _enumerated_witness(space, field):
+    """Reference: the first invertible combination of the intertwiner
+    basis, enumerating every coefficient vector of the span."""
+    for coeffs in itertools.product(list(field.elements()), repeat=space.dim):
+        if any(coeffs):
+            cand = functools.reduce(
+                madd, (smul(c, b) for c, b in zip(coeffs, space.basis)))
+            if field.is_unit(det(cand)):
+                return cand
+    return None
+
+
+def _random_invertible(field, rng):
+    while True:
+        g = rand_mat(field, 2, rng)
+        if field.is_unit(det(g)):
+            return g
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_determinant_form_matches_enumeration(q):
+    # random pairs (mostly dim 0), conjugated pairs (dim 1-2) and equal
+    # scalar tuples (dim 4), with one and two components
+    field = field_of_order(q)
+    rng = random.Random(100 + q)
+    dims = set()
+    for k in range(45):
+        m = 1 + k % 2
+        a = mat_tuple([rand_mat(field, 2, rng) for _ in range(m)])
+        if k % 3 == 0:
+            b = a
+        elif k % 3 == 1:
+            g = _random_invertible(field, rng)
+            b = mat_tuple([mmul(mmul(_inv2(g), x), g) for x in a.mats])
+        else:
+            b = mat_tuple([rand_mat(field, 2, rng) for _ in range(m)])
+        if k % 9 == 0:
+            c = rng.choice(list(field.elements()))
+            a = b = mat_tuple([smul(c, identity(field, 2))] * m)
+        space = intertwiners(a, b)
+        dims.add(space.dim)
+        w = simultaneously_conjugate(a, b)
+        assert (w is None) == (_enumerated_witness(space, field) is None)
+        if w is not None:
+            assert field.is_unit(det(w))
+            assert all(mmul(w, x).rows == mmul(y, w).rows
+                       for x, y in zip(a.mats, b.mats))
+    assert dims == {0, 1, 2, 4}
+
+
 def test_undecidable_large_space_raises():
     # E_11 vs E_22 in M_3(F_9): 5-dimensional intertwiner space, 9^5 points,
     # and no quadratic-form shortcut for n = 3
@@ -135,6 +195,10 @@ def test_undecidable_large_space_raises():
     with pytest.raises(UndecidableError):
         simultaneously_conjugate(mat_tuple([unit_mat(f9, 3, 0, 0)]),
                                  mat_tuple([unit_mat(f9, 3, 1, 1)]))
+    # over Q the span cannot be enumerated at all
+    with pytest.raises(UndecidableError):
+        simultaneously_conjugate(mat_tuple([unit_mat(QQ, 3, 0, 0)]),
+                                 mat_tuple([unit_mat(QQ, 3, 1, 1)]))
 
 
 # --- all-primes certificates --------------------------------------------------
@@ -325,6 +389,29 @@ def test_sweep_outputs_pinned():
     digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
     assert digest == \
         "cebfbaa4f649cb0138e7004bf0176b4d147f7760b07b79251f853c5ef9616503"
+
+
+def test_certificate_outputs_pinned():
+    # digest of the certificates of the sweep cases and 40 seeded pairs,
+    # each witness matrix replaced by its presence; taken when n = 2 mod-p
+    # witnesses still came from enumerating the intertwiner span
+    rng = random.Random(24)
+    cases = _sweep_cases()
+    for k in range(40):
+        m = 1 + k % 3
+        cases.append((rand_int_tuple(rng, m), rand_int_tuple(rng, m)))
+    docs = []
+    for ta, tb in cases:
+        data = nonconjugate_all_primes(ta, tb).to_json()
+        for pv in data["exceptional_primes"]:
+            pv["witness"] = pv["witness"] is not None
+        if data["witness_prime"] is not None:
+            data["witness_prime"]["witness"] = True
+        docs.append(data)
+    assert sum(d["overall"] for d in docs) == 49
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == \
+        "485756ea66ce3f5b6e1bd0fb926e4ccfe3753e93498b0da6f53198052026a165"
 
 
 # --- factoring the elementary divisors ----------------------------------------

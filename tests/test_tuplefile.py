@@ -3,7 +3,7 @@ import time
 import pytest
 
 from matgen.construct import scalar_family_generators, standard_xy_family, table16
-from matgen.domains import QQ, ZZ, DomainError, build_ext_field
+from matgen.domains import QQ, ZZ, DomainError, ExtField, PrimeField, build_ext_field
 from matgen.generation import closure_generates
 from matgen.tuplefile import dumps, family_to_tuplefile, loads
 
@@ -64,6 +64,52 @@ def test_malformed_documents_rejected():
     with pytest.raises(DomainError):
         loads('{"coeff": {"kind": "prime_field", "p": 2}, "n": 2, '
               '"shape": [[2, 1]], "generators": []}')
+    # numbers where integers or element strings belong, a zero denominator
+    # and exponent notation over Q
+    f5 = ('{"coeff": %s, "n": 2, "shape": [[%s, 1]], '
+          '"generators": [[[[%s, "0"], ["0", "1"]]]]}')
+    for coeff, n, entry in [
+        ('{"kind": "prime_field", "p": 7.5}', "2", '"1"'),
+        ('{"kind": "prime_field", "p": 7.0}', "2", '"1"'),
+        ('{"kind": "prime_field", "p": true}', "2", '"1"'),
+        ('{"kind": "prime_field", "p": 5}', "2", "1.5"),
+        ('{"kind": "prime_field", "p": 5}', "2", "1"),
+        ('{"kind": "prime_field", "p": 5}', "2.5", '"1"'),
+        ('{"kind": "prime_field", "p": 5}', "true", '"1"'),
+        ('{"kind": "ext_field", "p": 2, "deg": 2.0, "modulus": [1, 1, 1]}',
+         "2", '"1,0"'),
+        ('{"kind": "ext_field", "p": 2, "deg": 2, "modulus": [1, 1.0, 1]}',
+         "2", '"1,0"'),
+        ('{"kind": "ext_field", "p": 2, "deg": 2, "modulus": "111"}',
+         "2", '"1,0"'),
+        ('{"kind": "rationals"}', "2", '"1/0"'),
+        ('[]', "2", '"1"'),
+    ]:
+        with pytest.raises(DomainError):
+            loads(f5 % (coeff, n, entry))
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        loads(f5 % ('{"kind": "rationals"}', "2", '"1e100000000"'))
+    assert time.perf_counter() - start < 0.1
+    # rows written as strings of digits are not matrices
+    with pytest.raises(DomainError):
+        loads('{"coeff": {"kind": "prime_field", "p": 5}, "n": 2, '
+              '"shape": [[2, 1]], "generators": [[["10", "01"]]]}')
+
+
+def test_fields_are_built_once_per_modulus():
+    f16 = build_ext_field(2, 4)
+    doc = dumps(standard_xy_family(2, f16))
+    assert loads(doc).domain is loads(doc).domain is f16
+    assert loads(dumps(standard_xy_family(2, PrimeField(7)))).domain \
+        is build_ext_field(7, 1)
+    # x^4 + x^3 + 1 is irreducible over F_2 but not the least modulus
+    other = ExtField(2, 4, (1, 0, 0, 1, 1))
+    assert other.modulus != f16.modulus
+    fam = standard_xy_family(2, other)
+    parsed = _round_trip(fam)
+    assert parsed.domain == other and parsed.domain.modulus == (1, 0, 0, 1, 1)
+    assert loads(dumps(fam)).domain is parsed.domain
 
 
 def test_huge_shape_refused_before_allocating():
