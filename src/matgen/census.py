@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .domains import DomainError, field_of_order, is_prime_power
+from .domains import DomainError, InvariantError, field_of_order, is_prime_power
 from .linalg import det_rows, kernel_basis, rref, subspace_intersection
 
 CENSUS_CAP = 2**26
@@ -361,7 +361,7 @@ def count_generating_bruteforce(q: int, n: int, m: int,
             total = sum(pool.map(_count_worker, jobs))
     elapsed = time.perf_counter() - start
     if m >= 1 and total % pgl != 0:
-        raise RuntimeError("free PGL action violated; bug in the census")
+        raise InvariantError("free PGL action violated; bug in the census")
     return CensusResult(q, n, m, ambient, total, pgl, total // pgl, elapsed)
 
 
@@ -435,7 +435,7 @@ def orbit_count(q: int, n: int, m: int) -> int:
         if all(tuple(p[i] for i in tup) >= tup for p in perms):
             canonical += 1
     if canonical * pgl_order(q, n) != generating:
-        raise RuntimeError("orbit sizes disagree with the free action; bug")
+        raise InvariantError("orbit sizes disagree with the free action; bug")
     return canonical
 
 
@@ -642,37 +642,37 @@ def enumerate_maximal_subalgebras(q: int) -> SubalgebraCatalog:
 def _check_catalog(cat: SubalgebraCatalog, F):
     q = cat.q
     if len(cat.noncommutative) != q + 1:
-        raise RuntimeError("wrong noncommutative count")
+        raise InvariantError("wrong noncommutative count")
     if len(cat.commutative) != (q * q - q) // 2:
-        raise RuntimeError("wrong commutative count")
+        raise InvariantError("wrong commutative count")
     nbases = [b for _, b in cat.noncommutative]
     for basis in nbases:
         if len(basis) != 3:
-            raise RuntimeError("noncommutative subalgebra must have dimension 3")
+            raise InvariantError("noncommutative subalgebra must have dimension 3")
     pairwise = set()
     for i in range(len(nbases)):
         for j in range(i + 1, len(nbases)):
             inter = subspace_intersection(nbases[i], nbases[j], F)
             if len(inter) != 2:
-                raise RuntimeError("noncommutative pairwise intersection must be 2-dim")
+                raise InvariantError("noncommutative pairwise intersection must be 2-dim")
             pairwise.add(tuple(inter))
     if len(pairwise) != (q + 1) * q // 2:
-        raise RuntimeError("pairwise intersections must be pairwise distinct")
+        raise InvariantError("pairwise intersections must be pairwise distinct")
     for i in range(len(nbases)):
         for j in range(i + 1, len(nbases)):
             for k in range(j + 1, len(nbases)):
                 inter = subspace_intersection(
                     subspace_intersection(nbases[i], nbases[j], F), nbases[k], F)
                 if tuple(inter) != cat.scalars:
-                    raise RuntimeError("triple intersections must be the scalars")
+                    raise InvariantError("triple intersections must be the scalars")
     cbases = list(cat.commutative)
     for i in range(len(cbases)):
         for j in range(i + 1, len(cbases)):
             if tuple(subspace_intersection(cbases[i], cbases[j], F)) != cat.scalars:
-                raise RuntimeError("distinct commutative subalgebras meet in scalars")
+                raise InvariantError("distinct commutative subalgebras meet in scalars")
         for basis in nbases:
             if tuple(subspace_intersection(cbases[i], basis, F)) != cat.scalars:
-                raise RuntimeError("mixed intersections must be the scalars")
+                raise InvariantError("mixed intersections must be the scalars")
 
 
 def _span_members(basis, q: int):

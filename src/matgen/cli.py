@@ -1,8 +1,9 @@
 """Command-line surface: one binary, subcommand style.
 
-Exit codes: 0 affirmative/consistent, 1 negative/counterexample, 2 usage or
-internal error.  --json emits machine-readable records with a schema-version
-field; defaults reproduce the acceptance numbers with no extra flags.
+Exit codes: 0 affirmative/consistent, 1 negative/counterexample, 2 usage
+error or a refusal to decide, 3 a failed internal invariant (a bug).
+--json emits machine-readable records with a schema-version field; defaults
+reproduce the acceptance numbers with no extra flags.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import census, construct, tuplefile, zverify
-from .domains import DomainError, QQ, ZZ, field_of_order
+from .domains import DomainError, InvariantError, QQ, ZZ, field_of_order
 from .generation import mat_tuple, tuple_criterion_generates, closure_generates
 
 
@@ -304,6 +305,9 @@ def main(argv=None) -> int:
         cfg = RunConfig(threads=args.threads,
                         output="json" if args.json else "human")
         return args.func(args, cfg)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (DomainError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

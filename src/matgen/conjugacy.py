@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .domains import ZZ, DomainError, build_ext_field, is_prime
+from .domains import ZZ, DomainError, InvariantError, build_ext_field, is_prime
 from .linalg import (
     Mat,
     det,
@@ -144,7 +144,7 @@ def intertwiners(tuple_a, tuple_b) -> IntertwinerSpace:
     basis = tuple(unvectorize(domain, n, v) for v in vecs)
     for c in basis:
         if not _check_intertwines(c, tuple_a, tuple_b):
-            raise RuntimeError("intertwiner basis fails its equations; bug")
+            raise InvariantError("intertwiner basis fails its equations; bug")
     return IntertwinerSpace(basis=basis, dim=len(basis))
 
 
@@ -204,7 +204,7 @@ def _witness(tuple_a, tuple_b, space: IntertwinerSpace):
     w = _witness_from_span(space, field)
     if w is not None:
         if not (_check_intertwines(w, tuple_a, tuple_b) and field.is_unit(det(w))):
-            raise RuntimeError("conjugacy witness failed revalidation; bug")
+            raise InvariantError("conjugacy witness failed revalidation; bug")
     return w
 
 
@@ -275,7 +275,7 @@ def nonconjugate_all_primes(tuple_a, tuple_b) -> NonConjCertificate:
                 witness = (p, v.witness)
                 break
             if p > bound:
-                raise RuntimeError("witness prime sweep failed; bug")
+                raise InvariantError("witness prime sweep failed; bug")
 
     ordered = tuple(verdicts[p] for p in sorted(verdicts))
     return NonConjCertificate(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .domains import QQ, ZZ, DomainError
+from .domains import QQ, ZZ, DomainError, InvariantError
 from .generation import (
     DirectSumShape,
     closure_generates,
@@ -100,11 +100,11 @@ def standard_xy(n: int, domain):
                                    for j in range(n)) for i in range(n)))
     if domain.is_field:
         if not generates_single([X, Y]).verdict:
-            raise RuntimeError("standard pair failed closure; bug")
+            raise InvariantError("standard pair failed closure; bug")
     elif domain == ZZ:
         ok, _ = lattice_generates_MnZ([X, Y], n)
         if not ok:
-            raise RuntimeError("standard pair failed lattice closure; bug")
+            raise InvariantError("standard pair failed lattice closure; bug")
     return X, Y
 
 
@@ -202,7 +202,7 @@ def scalar_family_generators(blocks, domain=QQ):
     generators = (tuple(xs), tuple(ys))
     ok = _generates(generators, shape)
     if domain == QQ and not ok:
-        raise RuntimeError("scalar family failed exact-rational closure; bug")
+        raise InvariantError("scalar family failed exact-rational closure; bug")
     return GeneratorFamily(shape=shape, generators=generators,
                            provenance=SCALAR_FAMILY, verified=ok,
                            scalars=tuple(blocks))
@@ -353,7 +353,7 @@ def table16() -> GeneratorFamily:
     """The 16 integer pairs generating M_2(Z)^16 with two elements."""
     fam = _table16_raw()
     if not verify_family(fam):
-        raise RuntimeError("embedded 16-pair table failed its generation check")
+        raise InvariantError("embedded 16-pair table failed its generation check")
     _check_fixture("gen16_pairs.json", GEN16_FIXTURE_SHA256)
     return fam
 
@@ -375,16 +375,16 @@ def _check_fixture(name: str, expected_sha: str):
     text = _fixture_text(name)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     if digest != expected_sha:
-        raise RuntimeError(f"fixture {name} is corrupted "
+        raise InvariantError(f"fixture {name} is corrupted "
                            f"(sha256 {digest} != {expected_sha})")
     data = json.loads(text)
     if name == "gen16_pairs.json":
         from .tuplefile import family_to_tuplefile
 
         if data != family_to_tuplefile(_table16_raw()):
-            raise RuntimeError(f"fixture {name} disagrees with the source table")
+            raise InvariantError(f"fixture {name} disagrees with the source table")
     else:
         want = [{"matrices": [[list(r) for r in m] for m in cls["matrices"]],
                  "eigenvalues": cls["eigenvalues"]} for cls in CONJ_CLASSES]
         if data.get("classes") != want:
-            raise RuntimeError(f"fixture {name} disagrees with the source table")
+            raise InvariantError(f"fixture {name} disagrees with the source table")

@@ -147,6 +147,19 @@ class DomainError(ValueError):
     """Invalid domain construction or element outside its domain."""
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug in matgen, not bad input."""
+
+
+def _parse_residue(s: str, p: int) -> int:
+    """The residue written canonically in s: decimal digits, no sign, no
+    leading zero, no spaces, value in [0, p)."""
+    if not (s.isascii() and s.isdigit() and (s == "0" or s[0] != "0")
+            and len(s) <= len(str(p)) and int(s) < p):
+        raise DomainError(f"{s!r} is not a canonical residue mod {p}")
+    return int(s)
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (coefficient lists, lowest degree first)
 
@@ -282,7 +295,7 @@ class PrimeField:
         return str(a)
 
     def parse_elem(self, s: str):
-        return int(s) % self.p
+        return _parse_residue(s, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -424,10 +437,10 @@ class ExtField:
         return ",".join(str(c) for c in self._digits(a))
 
     def parse_elem(self, s: str):
-        coeffs = [int(c) for c in s.split(",")]
+        coeffs = s.split(",")
         if len(coeffs) != self.k:
             raise DomainError(f"expected {self.k} coefficients, got {s!r}")
-        return self._join(coeffs)
+        return self._join([_parse_residue(c, self.p) for c in coeffs])
 
     def __eq__(self, other):
         return (

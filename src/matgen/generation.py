@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import conjugacy
-from .domains import DomainError, quadratic_extension
+from .domains import DomainError, InvariantError, quadratic_extension
 from .linalg import (
     ALL_LINES,
     Echelon,
@@ -126,31 +126,83 @@ def _validate_elements(S, shape: DirectSumShape, field):
                 raise DomainError("mixed domains in one generating set")
 
 
-def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
-                      field=None) -> GenReport:
-    """Span closure of S inside the direct-sum algebra described by shape.
+def _spin_up_fp(S, sizes, field, include_identity: bool) -> int:
+    """Dimension of the span closure over F_p, by a spin-up on packed
+    vectors (Parker's MeatAxe).
 
-    S is a sequence of elements, each a sequence of Mat matching the shape's
-    copies.  The span of all products of elements of S (plus the identity if
-    requested) is grown until it stabilizes; the verdict compares its
-    dimension with the ambient dimension.
+    A vector of length d = sum n_i^2 is one int whose w-bit slot j, at bit
+    j w, holds coordinate j.  The basis is semi-echelon: a list of pairs
+    (shift of the pivot slot, P - u), where P holds p in every slot and u is
+    the packed row reduced into [0, p) and normalised to 1 at its pivot.
+    Each row vanishes at the pivots of the rows before it, so one pass in
+    insertion order reduces a vector: at each pivot the slot is read mod p
+    as c, and adding c (P - u) subtracts c u mod p while every slot stays
+    nonnegative.  Right multiplication by a generator g is the list of d
+    packed rows R_g[j], the images of the units E_j, and a product is
+    sum u_j R_g[j] over the nonzero coordinates of a normalised row u.
 
-    Right products by the generators suffice.  Let W_k be the span of the
-    words in S of length <= k (the empty word, the identity, included when
-    include_identity is set) and F the elements added to reach W_k.  Every
-    word of length k + 1 is a word of length <= k times a generator, so
-    W_{k+1} = W_k + W_k S = W_k + F S, since W_{k-1} S lies in W_k.  So each
-    level multiplies only the previous level's new elements, on the right,
-    and the closure stops when a level adds nothing.
+    No slot overflows: a product holds at most n (p-1)^2 in a slot (n the
+    largest block size), and each of the at most d reductions adds at most
+    (p-1) p, so every slot stays below n (p-1)^2 + d p^2.  w is the bit
+    length of that bound plus one guard bit.
     """
-    S = [tuple(elem) for elem in S]
-    if field is None:
-        if not S:
-            raise DomainError("empty S needs an explicit field")
-        field = S[0][0].domain
-    if not field.is_field:
-        raise DomainError("closure_generates requires a field domain")
-    _validate_elements(S, shape, field)
+    p = field.p
+    d = sum(n * n for n in sizes)
+    w = (max(sizes, default=0) * (p - 1) ** 2 + d * p * p).bit_length() + 1
+    mask = (1 << w) - 1
+    shifts = range(0, d * w, w)
+    every = p * (((1 << d * w) - 1) // mask)  # p in every slot
+    basis = []
+
+    def insert(v):
+        """Reduce v; if it is independent, add its row and return its
+        normalised coordinates as (j, u_j) pairs with u_j != 0."""
+        for s, neg in basis:
+            c = (v >> s & mask) % p
+            if c:
+                v += c * neg
+        coords = [(v >> s & mask) % p for s in shifts]
+        piv = next((j for j, x in enumerate(coords) if x), None)
+        if piv is None:
+            return None
+        inv = pow(coords[piv], -1, p)
+        u = [(j, x * inv % p) for j, x in enumerate(coords) if x]
+        basis.append((shifts[piv], every - sum(x << shifts[j] for j, x in u)))
+        return u
+
+    def pack(elem):
+        return sum((x % p) << s for x, s in zip(_element_vector(elem), shifts))
+
+    def right_rows(elem):
+        rows, offset = [], 0
+        for a, n in zip(elem, sizes):
+            packed = [sum((x % p) << (k * w) for k, x in enumerate(row))
+                      for row in a.rows]
+            # E_{ik} g has row i equal to row k of g
+            rows.extend(packed[k] << (offset + i * n) * w
+                        for i in range(n) for k in range(n))
+            offset += n * n
+        return rows
+
+    if include_identity:
+        insert(pack(tuple(identity(field, n) for n in sizes)))
+    frontier = [u for u in map(insert, map(pack, S)) if u is not None]
+    products = [right_rows(g) for g in S]
+    while frontier and len(basis) < d:
+        new_frontier = []
+        for u in frontier:
+            for rows in products:
+                new = insert(sum(c * rows[j] for j, c in u))
+                if new is not None:
+                    if len(basis) == d:
+                        return d
+                    new_frontier.append(new)
+        frontier = new_frontier
+    return len(basis)
+
+
+def _echelon_closure(S, shape: DirectSumShape, field, include_identity: bool) -> int:
+    """Dimension of the span closure, on Mat tuples and an Echelon."""
     ambient = shape.total_dim
     span = Echelon(field)
     frontier = []
@@ -170,7 +222,46 @@ def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
                 if span.insert(_element_vector(prod)):
                     new_frontier.append(prod)
         frontier = new_frontier
-    dim = span.dim
+    return span.dim
+
+
+def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
+                      field=None) -> GenReport:
+    """Span closure of S inside the direct-sum algebra described by shape.
+
+    S is a sequence of elements, each a sequence of Mat matching the shape's
+    copies.  The span of all products of elements of S (plus the identity if
+    requested) is grown until it stabilizes; the verdict compares its
+    dimension with the ambient dimension.
+
+    Right products by the generators suffice.  Let W_k be the span of the
+    words in S of length <= k (the empty word, the identity, included when
+    include_identity is set) and F any elements that complete W_{k-1} to
+    W_k, that is W_k = W_{k-1} + span F.  Every word of length k + 1 is a
+    word of length <= k times a generator, so W_{k+1} = W_k + W_k S =
+    W_k + F S, since W_{k-1} S lies in W_k.  So each level multiplies only
+    the previous level's new elements, on the right, and the closure stops
+    when a level adds nothing.  The new elements may be taken as they were
+    inserted or as their reductions against the span found so far: both
+    complete the previous level.
+
+    Over F_p the closure is a spin-up on packed integer vectors
+    (_spin_up_fp); over every other field the elements are Mat tuples and
+    the span an Echelon.
+    """
+    S = [tuple(elem) for elem in S]
+    if field is None:
+        if not S:
+            raise DomainError("empty S needs an explicit field")
+        field = S[0][0].domain
+    if not field.is_field:
+        raise DomainError("closure_generates requires a field domain")
+    _validate_elements(S, shape, field)
+    ambient = shape.total_dim
+    if field.kind == "prime_field":
+        dim = _spin_up_fp(S, shape.copy_sizes, field, include_identity)
+    else:
+        dim = _echelon_closure(S, shape, field, include_identity)
     ok = dim == ambient
     return GenReport(
         verdict=ok,
@@ -192,7 +283,8 @@ def tuple_criterion_generates(tuples: Sequence[MatTuple]) -> GenReport:
 
     True exactly when every vertical cross-section generates M_n(F) and no
     two cross-sections are simultaneously conjugate.  The direct span
-    closure is run as well and must agree with the criterion.
+    closure is run as well; if it disagrees with the criterion,
+    InvariantError is raised.
     """
     tuples = list(tuples)
     if not tuples:
@@ -239,7 +331,7 @@ def tuple_criterion_generates(tuples: Sequence[MatTuple]) -> GenReport:
 
     verdict = failed is None
     if verdict != closure.verdict:
-        raise RuntimeError(
+        raise InvariantError(
             "tuple criterion disagrees with span closure; this is a bug")
     return GenReport(
         verdict=verdict,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from operator import mul
 from typing import Optional, Sequence
 
 from .domains import DomainError, build_ext_field, quadratic_extension
@@ -78,19 +79,28 @@ def msub(a: Mat, b: Mat) -> Mat:
 
 
 def mmul(a: Mat, b: Mat) -> Mat:
+    """The product ab: native int or Fraction dot products over F_p (then
+    reduced mod p), Z and Q; the domain methods over F_{p^k}."""
     d = a.domain
-    n = a.n
     bt = tuple(zip(*b.rows))
-    out = []
-    for ra in a.rows:
-        row = []
-        for cb in bt:
-            acc = d.mul(ra[0], cb[0])
-            for x, y in zip(ra[1:], cb[1:]):
-                acc = d.add(acc, d.mul(x, y))
-            row.append(acc)
-        out.append(tuple(row))
-    return Mat(d, n, tuple(out))
+    kind = d.kind
+    if kind == "prime_field":
+        p = d.p
+        rows = tuple(tuple(sum(map(mul, ra, cb)) % p for cb in bt) for ra in a.rows)
+    elif kind in ("integers", "rationals"):
+        rows = tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a.rows)
+    else:
+        out = []
+        for ra in a.rows:
+            row = []
+            for cb in bt:
+                acc = d.mul(ra[0], cb[0])
+                for x, y in zip(ra[1:], cb[1:]):
+                    acc = d.add(acc, d.mul(x, y))
+                row.append(acc)
+            out.append(tuple(row))
+        rows = tuple(out)
+    return Mat(d, a.n, rows)
 
 
 def smul(c, a: Mat) -> Mat:
@@ -162,6 +172,43 @@ def det_rows(rows, d):
 # echelon forms and kernels over a field
 
 
+def _row_ops(f):
+    """(sub_mul, scale, inv) for echelon rows over the field f, where
+    sub_mul(v, c, row) is v - c row and scale(c, row) is c row: int
+    arithmetic mod p over F_p, lookups in the flat tables of an ExtField
+    that has them, the domain methods over every other field."""
+    if f.kind == "prime_field":
+        p = f.p
+
+        def sub_mul(v, c, row):
+            return [(a - c * b) % p for a, b in zip(v, row)]
+
+        def scale(c, row):
+            return [c * b % p for b in row]
+
+        return sub_mul, scale, lambda c: pow(c, -1, p)
+    if f.kind == "ext_field" and f._mul is not None:
+        q, sub, mult = f.q, f._sub, f._mul
+
+        def sub_mul(v, c, row):
+            cq = c * q
+            return [sub[a * q + mult[cq + b]] for a, b in zip(v, row)]
+
+        def scale(c, row):
+            cq = c * q
+            return [mult[cq + b] for b in row]
+
+        return sub_mul, scale, f._inv.__getitem__
+
+    def sub_mul(v, c, row):
+        return [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+
+    def scale(c, row):
+        return [f.mul(c, b) for b in row]
+
+    return sub_mul, scale, f.inv
+
+
 class Echelon:
     """Incremental reduced row echelon form of a span over a field.
 
@@ -172,6 +219,7 @@ class Echelon:
     def __init__(self, field):
         self.field = field
         self.rows = {}
+        self._ops = _row_ops(field)
 
     @property
     def dim(self) -> int:
@@ -179,22 +227,22 @@ class Echelon:
 
     def insert(self, vec) -> bool:
         """Reduce vec against the span; add it if independent."""
-        f = self.field
+        is_zero = self.field.is_zero
+        sub_mul, scale, inv = self._ops
         rows = self.rows
         v = list(vec)
         for col, row in rows.items():
             c = v[col]
-            if not f.is_zero(c):
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        piv = next((j for j, x in enumerate(v) if not f.is_zero(x)), None)
+            if not is_zero(c):
+                v = sub_mul(v, c, row)
+        piv = next((j for j, x in enumerate(v) if not is_zero(x)), None)
         if piv is None:
             return False
-        inv = f.inv(v[piv])
-        norm = [f.mul(inv, y) for y in v]
+        norm = scale(inv(v[piv]), v)
         for col, other in rows.items():
             c = other[piv]
-            if not f.is_zero(c):
-                rows[col] = [f.sub(a, f.mul(c, b)) for a, b in zip(other, norm)]
+            if not is_zero(c):
+                rows[col] = sub_mul(other, c, norm)
         rows[piv] = norm
         return True
 

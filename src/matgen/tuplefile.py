@@ -58,6 +58,10 @@ def tuplefile_from_json(data: dict) -> TupleFile:
         domain = domain_from_json(data["coeff"])
         shape = DirectSumShape(tuple((json_int(n_i, "shape"), json_int(m_i, "shape"))
                                      for n_i, m_i in data["shape"]))
+        if not shape.blocks:
+            raise DomainError("the shape has no blocks")
+        if "n" in data and json_int(data["n"], "n") != shape.blocks[0][0]:
+            raise DomainError("n does not match the first block size")
         elems = data["generators"]
         if not isinstance(elems, list) or not elems:
             raise DomainError("no generators in file")

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .census import gen_value_2x2
 from .conjugacy import nonconjugate_all_primes
-from .domains import ZZ, DomainError
+from .domains import ZZ, DomainError, InvariantError
 from .generation import (
     DirectSumShape,
     closure_generates,
@@ -115,7 +115,7 @@ def verify_z_tuples(generators: Sequence) -> ZGenVerdict:
             det_val = det(commutator(cs[0], cs[1]))
             det_ok = det_val in (1, -1)
             if det_ok != lattice_ok:
-                raise RuntimeError(
+                raise InvariantError(
                     "det-commutator and lattice closure disagree; bug")
         componentwise.append(CrossSectionVerdict(i, lattice_ok, det_val, det_ok))
         all_components_ok &= lattice_ok
@@ -138,7 +138,7 @@ def verify_z_tuples(generators: Sequence) -> ZGenVerdict:
 
     overall = all_components_ok and all_pairs_ok
     if overall and not all(ok for _, _, _, ok in direct):
-        raise RuntimeError("certificate passed but a mod-p closure failed; bug")
+        raise InvariantError("certificate passed but a mod-p closure failed; bug")
     return ZGenVerdict(
         componentwise=tuple(componentwise),
         pairwise=tuple(pairwise),

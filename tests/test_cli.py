@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import matgen
 from matgen.cli import main
-from matgen.construct import GeneratorFamily, standard_xy_family, table16
+from matgen.construct import GeneratorFamily, gap_plus_one, standard_xy_family, table16
 from matgen.domains import QQ, PrimeField, field_of_order
 from matgen.generation import DirectSumShape
 from matgen.linalg import mat
@@ -127,13 +127,34 @@ def test_check_malformed_numbers_exit_two_without_traceback(tmp_path, capsys):
     path = tmp_path / "bad.json"
     for coeff, entry in [('{"kind": "prime_field", "p": 7.5}', '"1"'),
                          ('{"kind": "rationals"}', '"1/0"'),
-                         ('{"kind": "prime_field", "p": 5}', "1.5")]:
+                         ('{"kind": "prime_field", "p": 5}', "1.5"),
+                         ('{"kind": "prime_field", "p": 5}', '"12"')]:
         path.write_text('{"coeff": %s, "n": 2, "shape": [[2, 1]], '
                         '"generators": [[[[%s, "0"], ["0", "1"]]]]}'
                         % (coeff, entry), encoding="utf-8")
         assert main(["check", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_check_failed_invariant_exits_three(tmp_path, monkeypatch, capsys):
+    # a closure that loses one dimension of the two-copy span makes the span
+    # closure disagree with the criterion, whose cross-sections still pass
+    from matgen import generation
+
+    fam = gap_plus_one(standard_xy_family(2, PrimeField(3)))
+    spin_up = generation._spin_up_fp
+
+    def wrong(S, sizes, field, include_identity):
+        dim = spin_up(S, sizes, field, include_identity)
+        return dim - 1 if len(sizes) == 2 else dim
+
+    monkeypatch.setattr(generation, "_spin_up_fp", wrong)
+    path = tmp_path / "gap.json"
+    path.write_text(dumps(fam), encoding="utf-8")
+    assert main(["check", "--input", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "disagrees" in err
 
 
 @functools.lru_cache(maxsize=None)

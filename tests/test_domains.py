@@ -247,6 +247,21 @@ def test_parse_format_round_trip():
         assert dom.parse_elem(dom.format_elem(value)) == value
 
 
+def test_field_entries_must_be_canonical():
+    f5, f4 = PrimeField(5), build_ext_field(2, 2)
+    assert [f5.parse_elem(t) for t in ("0", "1", "4")] == [0, 1, 4]
+    assert f4.parse_elem("1,1") == 3
+    for text in ("12", "5", "-1", "+3", " 4", "4 ", "1_0", "04", "", "٣", "1.0"):
+        with pytest.raises(DomainError):
+            f5.parse_elem(text)
+    for text in ("7,9", "2,0", "1", "1,0,0", "01,1", "1, 1", "-1,0"):
+        with pytest.raises(DomainError):
+            f4.parse_elem(text)
+    # a long digit string is refused by its length, before int() reads it
+    with pytest.raises(DomainError):
+        f5.parse_elem("1" * 100_000)
+
+
 def test_rational_canonical_form():
     assert QQ.format_elem(QQ.parse_elem("6/8")) == "3/4"
     assert QQ.format_elem(QQ.parse_elem("4/2")) == "2"

@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matgen.domains import QQ, ZZ, PrimeField, field_of_order
 from matgen.generation import (
@@ -150,6 +152,86 @@ def test_right_product_closure_matches_both_sided_reference(q):
                 assert (rep.verdict, rep.closure_dim) == want
                 verdicts.add(rep.verdict)
     assert verdicts == {True, False}
+
+
+def echelon_closure(S, shape, include_identity, field):
+    """Reference span closure on Mat tuples: every level multiplies the
+    inserted elements by every generator on the right, and an Echelon over
+    the field's methods holds the span.  Returns (verdict, closure_dim)."""
+    def vec(elem):
+        return tuple(x for a in elem for x in vectorize(a))
+
+    span = Echelon(field)
+    if include_identity:
+        span.insert(vec(tuple(identity(field, n) for n in shape.copy_sizes)))
+    frontier = [elem for elem in S if span.insert(vec(elem))]
+    while frontier:
+        new_frontier = []
+        for e in frontier:
+            for g in S:
+                prod = tuple(map(mmul, e, g))
+                if span.insert(vec(prod)):
+                    new_frontier.append(prod)
+        frontier = new_frontier
+    return span.dim == shape.total_dim, span.dim
+
+
+@st.composite
+def _fp_closure_case(draw, p):
+    """(S, shape, include_identity) over F_p: one to three blocks with
+    n <= 4, up to three elements.  Components of equal size within an
+    element may repeat and matrices may be triangular, so that deficient
+    closures occur; entries favour 0, 1 and p - 1, the largest slot load."""
+    field = PrimeField(p)
+    blocks = draw(st.lists(st.tuples(st.integers(2, 4), st.integers(1, 2)),
+                           min_size=1, max_size=3)
+                  .filter(lambda b: sum(m * n * n for n, m in b) <= 40))
+    shape = DirectSumShape(tuple(blocks))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    rare = st.sampled_from([False, False, False, True])
+    repeat, triangular = draw(rare), draw(rare)
+    S = []
+    for _ in range(draw(st.integers(0, 3))):
+        elem = []
+        for n in shape.copy_sizes:
+            if repeat and elem and elem[-1].n == n:
+                elem.append(elem[-1])
+                continue
+            elem.append(mat(field, [[0 if triangular and i > j else draw(entry)
+                                     for j in range(n)] for i in range(n)]))
+        S.append(tuple(elem))
+    return S, shape, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_packed_fp_closure_matches_echelon_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 31, 2**61 - 1]))
+    S, shape, include_identity = data.draw(_fp_closure_case(p))
+    field = PrimeField(p)
+    rep = closure_generates(S, shape, include_identity, field)
+    want = echelon_closure(S, shape, include_identity, field)
+    assert (rep.verdict, rep.closure_dim) == want
+
+
+def test_packed_fp_closure_at_a_127_bit_prime():
+    # p - 1 everywhere loads every slot of a product with n (p - 1)^2
+    p = 2**127 - 1
+    field = PrimeField(p)
+    rng = random.Random(127)
+    shape = DirectSumShape(((2, 1), (3, 2)))
+    full = mat(field, [[p - 1] * 3] * 3)
+    S = [(mat(field, [[p - 1, p - 1], [p - 1, 0]]), full,
+          mat(field, [[rng.randrange(p) for _ in range(3)] for _ in range(3)]))
+         for _ in range(2)]
+    S.append(tuple(mat(field, [[rng.choice([0, 1, p - 1, rng.randrange(p)])
+                                for _ in range(n)] for _ in range(n)])
+                   for n in shape.copy_sizes))
+    for include_identity in (True, False):
+        for gens in (S[:1], S[:2], S):
+            rep = closure_generates(gens, shape, include_identity, field)
+            want = echelon_closure(gens, shape, include_identity, field)
+            assert (rep.verdict, rep.closure_dim) == want
 
 
 # --- the tuple criterion ----------------------------------------------------

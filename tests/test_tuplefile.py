@@ -84,6 +84,14 @@ def test_malformed_documents_rejected():
          "2", '"1,0"'),
         ('{"kind": "rationals"}', "2", '"1/0"'),
         ('[]', "2", '"1"'),
+        # field entries other than canonical residues in [0, p)
+        ('{"kind": "prime_field", "p": 5}', "2", '"12"'),
+        ('{"kind": "prime_field", "p": 5}', "2", '"-1"'),
+        ('{"kind": "prime_field", "p": 5}', "2", '"+3"'),
+        ('{"kind": "prime_field", "p": 5}', "2", '" 4"'),
+        ('{"kind": "prime_field", "p": 5}', "2", '"1_0"'),
+        ('{"kind": "ext_field", "p": 2, "deg": 2, "modulus": [1, 1, 1]}',
+         "2", '"7,9"'),
     ]:
         with pytest.raises(DomainError):
             loads(f5 % (coeff, n, entry))
@@ -91,6 +99,17 @@ def test_malformed_documents_rejected():
     with pytest.raises(DomainError):
         loads(f5 % ('{"kind": "rationals"}', "2", '"1e100000000"'))
     assert time.perf_counter() - start < 0.1
+    # "n", when present, is a JSON integer equal to the first block size
+    two = ('{"coeff": {"kind": "prime_field", "p": 5}, %s"shape": [[2, 1]], '
+           '"generators": [[[["1", "0"], ["0", "1"]]]]}')
+    assert loads(two % '"n": 2, ').shape.blocks == ((2, 1),)
+    assert loads(two % "").shape.blocks == ((2, 1),)
+    for n in ("7", "2.0", '"2"', "true", "null"):
+        with pytest.raises(DomainError):
+            loads(two % f'"n": {n}, ')
+    with pytest.raises(DomainError):
+        loads('{"coeff": {"kind": "prime_field", "p": 5}, "n": 2, '
+              '"shape": [], "generators": [[]]}')
     # rows written as strings of digits are not matrices
     with pytest.raises(DomainError):
         loads('{"coeff": {"kind": "prime_field", "p": 5}, "n": 2, '
