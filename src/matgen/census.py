@@ -324,7 +324,8 @@ def pgl_order(q: int, n: int) -> int:
     prod = 1
     for i in range(n):
         prod *= q**n - q**i
-    assert prod % (q - 1) == 0
+    if prod % (q - 1):
+        raise InvariantError("q - 1 does not divide |GL_n(F_q)|; bug")
     return prod // (q - 1)
 
 
@@ -405,7 +406,8 @@ def _pgl_conj_perms(q: int, n: int):
             conj = _matmul(_matmul(gi, mm, n, add, mul), g, n, add, mul)
             perm[i] = index[conj]
         perms.append(tuple(perm))
-    assert len(perms) == pgl_order(q, n)
+    if len(perms) != pgl_order(q, n):
+        raise InvariantError("PGL permutation count disagrees with its order; bug")
     return tuple(perms)
 
 
@@ -413,7 +415,7 @@ def orbit_count(q: int, n: int, m: int) -> int:
     """Number of PGL-conjugation orbits on the generating m-tuples.
 
     Counts lexicographically-least orbit representatives; the free action
-    makes this generating_count / pgl_order, which is asserted.
+    makes this generating_count / pgl_order, which is checked.
     """
     if n < 2:
         raise DomainError("orbit census needs n >= 2")
@@ -460,7 +462,8 @@ def gen_value_2x2(q: int, m: int) -> int:
         raise DomainError("formula holds for m >= 2")
     num = q ** (4 * m - 1) + q ** (2 * m) - q ** (3 * m) - q ** (3 * m - 1)
     den = q * q - 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantError("q^2 - 1 does not divide the 2x2 numerator; bug")
     return num // den
 
 
@@ -482,7 +485,8 @@ def gen_value_1x1(q: int, m: int, convention: str = "projective") -> int:
     """n = 1 values under the three conventions (see the census report)."""
     if convention == "projective":
         num = q**m - 1
-        assert num % (q - 1) == 0
+        if num % (q - 1):
+            raise InvariantError("q - 1 does not divide q^m - 1; bug")
         return num // (q - 1)
     if convention == "unital":
         return q**m
@@ -558,7 +562,8 @@ def integer_gen_formula(m: int) -> int:
     """Largest k such that M_2(Z)^k admits m generators:
     (16^m - 3*8^m + 2*4^m) / 6, the q = 2 value of the field formula."""
     num = 16**m - 3 * 8**m + 2 * 4**m
-    assert num % 6 == 0
+    if num % 6:
+        raise InvariantError("6 does not divide the integer numerator; bug")
     return num // 6
 
 
@@ -625,8 +630,11 @@ def enumerate_maximal_subalgebras(q: int) -> SubalgebraCatalog:
         comm[tuple(basis)] += 1
     # (q^2-q)/2 irreducible quadratics, q^2-q matrices per polynomial,
     # and q^2-q matrices inside each plane spanned with the identity
-    assert irr_count == (q * q - q) ** 2 // 2
-    assert all(c == q * q - q for c in comm.values())
+    if irr_count != (q * q - q) ** 2 // 2:
+        raise InvariantError("wrong count of matrices with an irreducible "
+                             "characteristic polynomial; bug")
+    if any(c != q * q - q for c in comm.values()):
+        raise InvariantError("wrong count of matrices in a commutative plane; bug")
 
     scal_basis, _ = rref([ident], F)
     catalog = SubalgebraCatalog(

@@ -75,9 +75,11 @@ def _generates(generators, shape) -> bool:
 
 
 def _emit(shape, generators, provenance) -> GeneratorFamily:
+    """The family, after its generation check.  Every recipe verifies its
+    input first, so a failure here is a bug."""
     if not _generates(generators, shape):
-        raise RuntimeError(f"{provenance} construction failed its generation "
-                           "check; refusing to emit")
+        raise InvariantError(f"{provenance} construction failed its generation "
+                             "check; bug")
     return GeneratorFamily(shape=shape, generators=tuple(generators),
                            provenance=provenance)
 
@@ -160,6 +162,8 @@ def combine_mixed(families: Sequence[GeneratorFamily]) -> GeneratorFamily:
     domain = families[0].domain
     if any(fam.domain != domain for fam in families):
         raise DomainError("mixed domains")
+    if not all(map(verify_family, families)):
+        raise DomainError("input family is not verified generating")
     s = max(fam.num_generators for fam in families)
     out = []
     for t in range(s):

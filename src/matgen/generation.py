@@ -8,10 +8,12 @@ det-commutator criterion, and the integer lattice-closure test for M_n(Z).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from . import conjugacy
-from .domains import DomainError, InvariantError, quadratic_extension
+from .domains import QQ, DomainError, InvariantError, quadratic_extension
 from .linalg import (
     ALL_LINES,
     Echelon,
@@ -126,6 +128,34 @@ def _validate_elements(S, shape: DirectSumShape, field):
                 raise DomainError("mixed domains in one generating set")
 
 
+def _spin_up(identity, seeds, gens, insert, times, d: int) -> int:
+    """The level loop of a spin-up, shared by every field: the dimension of
+    the span closure.
+
+    insert(v) adds v to the span and returns what the next level
+    multiplies (v's new basis row, or v), or None when v lies in the span
+    already; times(u, g) is u times the prepared generator g.  The identity
+    (None when it is not adjoined) and the seeds go in first; each level
+    then multiplies what the level before inserted by every generator on
+    the right, until a level adds nothing or the span reaches dimension d.
+    """
+    dim = 0 if identity is None or insert(identity) is None else 1
+    frontier = [u for u in map(insert, seeds) if u is not None]
+    dim += len(frontier)
+    while frontier and dim < d:
+        new_frontier = []
+        for u in frontier:
+            for g in gens:
+                new = insert(times(u, g))
+                if new is not None:
+                    dim += 1
+                    if dim == d:
+                        return d
+                    new_frontier.append(new)
+        frontier = new_frontier
+    return dim
+
+
 def _spin_up_fp(S, sizes, field, include_identity: bool) -> int:
     """Dimension of the span closure over F_p, by a spin-up on packed
     vectors (Parker's MeatAxe).
@@ -184,45 +214,92 @@ def _spin_up_fp(S, sizes, field, include_identity: bool) -> int:
             offset += n * n
         return rows
 
-    if include_identity:
-        insert(pack(tuple(identity(field, n) for n in sizes)))
-    frontier = [u for u in map(insert, map(pack, S)) if u is not None]
-    products = [right_rows(g) for g in S]
-    while frontier and len(basis) < d:
-        new_frontier = []
-        for u in frontier:
-            for rows in products:
-                new = insert(sum(c * rows[j] for j, c in u))
-                if new is not None:
-                    if len(basis) == d:
-                        return d
-                    new_frontier.append(new)
-        frontier = new_frontier
-    return len(basis)
+    def times(u, rows):
+        return sum(c * rows[j] for j, c in u)
+
+    identity_vec = (pack(tuple(identity(field, n) for n in sizes))
+                    if include_identity else None)
+    return _spin_up(identity_vec, map(pack, S), [right_rows(g) for g in S],
+                    insert, times, d)
 
 
-def _echelon_closure(S, shape: DirectSumShape, field, include_identity: bool) -> int:
-    """Dimension of the span closure, on Mat tuples and an Echelon."""
-    ambient = shape.total_dim
+def _spin_up_q(S, sizes, include_identity: bool) -> int:
+    """Dimension of the span closure over Q, by a spin-up on integer rows
+    with fraction-free elimination (Bareiss).
+
+    Each element is scaled by the lcm of the denominators of all its
+    copies, so its blocks are integer matrices.  The basis is semi-echelon:
+    a list of (pivot, a, row), row a primitive integer vector (content 1)
+    whose first nonzero entry a, at the pivot, is positive; each row
+    vanishes at the pivots of the rows before it.  One pass in insertion
+    order reduces v: at a pivot where v holds c, v becomes
+    (a/g) v - (c/g) row with g = gcd(a, c), which clears the pivot and keeps
+    the pivots already cleared at zero.  An independent v is divided by its
+    content once, at the end, and becomes the new row.  A product is a row
+    times the integer blocks of a scaled generator.
+    """
+    d = sum(n * n for n in sizes)
+    basis = []
+
+    def insert(v):
+        for j, a, row in basis:
+            c = v[j]
+            if c:
+                g = gcd(a, c)
+                s, t = a // g, c // g
+                v = [s * x - t * y for x, y in zip(v, row)]
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is None:
+            return None
+        g = gcd(*v)
+        if v[piv] < 0:
+            g = -g
+        v = [x // g for x in v]
+        basis.append((piv, v[piv], v))
+        return v
+
+    def scale(elem):
+        """(vector, blocks): elem times the lcm of its denominators, as one
+        flat integer vector and as per-copy (n, columns) blocks."""
+        lcm_den = lcm(*(x.denominator for a in elem for row in a.rows
+                        for x in row))
+        vec, blocks = [], []
+        for a in elem:
+            rows = [[x.numerator * (lcm_den // x.denominator) for x in row]
+                    for row in a.rows]
+            for row in rows:
+                vec.extend(row)
+            blocks.append((a.n, tuple(zip(*rows))))
+        return vec, blocks
+
+    def times(u, blocks):
+        out, offset = [], 0
+        for n, cols in blocks:
+            for i in range(offset, offset + n * n, n):
+                row = u[i:i + n]
+                out.extend(sum(map(mul, row, col)) for col in cols)
+            offset += n * n
+        return out
+
+    scaled = [scale(elem) for elem in S]
+    identity_vec = (scale(tuple(identity(QQ, n) for n in sizes))[0]
+                    if include_identity else None)
+    return _spin_up(identity_vec, [vec for vec, _ in scaled],
+                    [blocks for _, blocks in scaled], insert, times, d)
+
+
+def _echelon_closure(S, sizes, field, include_identity: bool) -> int:
+    """Dimension of the span closure over F_{p^k}: the spin-up on Mat
+    tuples, with an Echelon for the span."""
     span = Echelon(field)
-    frontier = []
-    if include_identity:
-        ident = tuple(identity(field, n_i) for n_i in shape.copy_sizes)
-        span.insert(_element_vector(ident))
-    for elem in S:
-        if span.insert(_element_vector(elem)):
-            frontier.append(elem)
-    while frontier and span.dim < ambient:
-        new_frontier = []
-        for e in frontier:
-            if span.dim == ambient:
-                break
-            for g in S:
-                prod = _element_mul(e, g)
-                if span.insert(_element_vector(prod)):
-                    new_frontier.append(prod)
-        frontier = new_frontier
-    return span.dim
+
+    def insert(elem):
+        return elem if span.insert(_element_vector(elem)) else None
+
+    identity_elem = (tuple(identity(field, n) for n in sizes)
+                     if include_identity else None)
+    return _spin_up(identity_elem, S, S, insert, _element_mul,
+                    sum(n * n for n in sizes))
 
 
 def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
@@ -245,9 +322,15 @@ def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
     inserted or as their reductions against the span found so far: both
     complete the previous level.
 
-    Over F_p the closure is a spin-up on packed integer vectors
-    (_spin_up_fp); over every other field the elements are Mat tuples and
-    the span an Echelon.
+    The field's kind selects the path.  Over F_p the closure is a spin-up on
+    packed integer vectors (_spin_up_fp).  Over Q it is a spin-up on integer
+    rows (_spin_up_q): each element is multiplied by the lcm of the
+    denominators of all its copies, one nonzero scalar per element, and the
+    identity is left as it is.  A word in the scaled elements is a nonzero
+    multiple of the same word in S, so the Q-span of the words, and with it
+    the dimension, is unchanged.  Every row is then an exact integer
+    vector, with no modulus and no bound on its entries.  Over F_{p^k} the
+    elements are Mat tuples and the span an Echelon (_echelon_closure).
     """
     S = [tuple(elem) for elem in S]
     if field is None:
@@ -260,8 +343,10 @@ def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
     ambient = shape.total_dim
     if field.kind == "prime_field":
         dim = _spin_up_fp(S, shape.copy_sizes, field, include_identity)
+    elif field.kind == "rationals":
+        dim = _spin_up_q(S, shape.copy_sizes, include_identity)
     else:
-        dim = _echelon_closure(S, shape, field, include_identity)
+        dim = _echelon_closure(S, shape.copy_sizes, field, include_identity)
     ok = dim == ambient
     return GenReport(
         verdict=ok,

@@ -1,7 +1,9 @@
+import ast
 import itertools
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,8 @@ from matgen.census import (
     _generates_f2,
     resolve_threads,
 )
-from matgen.domains import DomainError, field_of_order
+from matgen import census
+from matgen.domains import DomainError, InvariantError, field_of_order
 from matgen.generation import closure_generates, shape_of
 from matgen.linalg import Mat
 
@@ -344,6 +347,29 @@ def test_catalog_counts(q):
 def test_catalog_cap():
     with pytest.raises(DomainError):
         enumerate_maximal_subalgebras(17)
+
+
+def test_catalog_count_mismatch_raises_invariant_error(monkeypatch):
+    # one irreducible matrix ([[0, 1], [1, 1]], t^2 + t + 1 over F_2) seen
+    # twice breaks the count of irreducible matrices
+    all_mats = census._all_mats
+
+    def with_duplicate(q, n):
+        return all_mats(q, n) + ((0, 1, 1, 1),)
+
+    monkeypatch.setattr(census, "_all_mats", with_duplicate)
+    with pytest.raises(InvariantError, match="irreducible"):
+        enumerate_maximal_subalgebras(2)
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert; internal checks raise InvariantError instead
+    src = Path(census.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_complement_counts_match_everything():

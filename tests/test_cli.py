@@ -115,6 +115,24 @@ def test_check_upper_triangular_pair_exits_one(tmp_path, capsys, q):
     assert time.perf_counter() - start < 2.0
 
 
+def test_check_non_generating_rational_pair(tmp_path, capsys):
+    # the first copy is upper triangular, the second generates M_2(Q); the
+    # denominators differ between the copies of each generator
+    fam = GeneratorFamily(
+        shape=DirectSumShape(((2, 2),)),
+        generators=((mat(QQ, [["1/2", 3], [0, -2]]),
+                     mat(QQ, [["-3/4", 1], [5, "2/3"]])),
+                    (mat(QQ, [[0, "7/5"], [0, 4]]),
+                     mat(QQ, [[2, "1/6"], [-1, 0]]))),
+        provenance="test")
+    path = tmp_path / "tri.json"
+    path.write_text(dumps(fam), encoding="utf-8")
+    assert main(["--json", "check", "--input", str(path)]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["closure"] == {"verdict": False, "closure_dim": 7,
+                               "ambient_dim": 8}
+
+
 def test_check_malformed_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken", encoding="utf-8")
@@ -249,6 +267,44 @@ def test_construct_gap_recipes_round_trip(tmp_path, capsys):
                      "--output", str(out)]) == 0
         capsys.readouterr()
         assert main(["check", "--input", str(out)]) == 0
+
+
+def test_construct_refuses_a_non_generating_input(tmp_path, capsys):
+    src = tmp_path / "tri.json"
+    src.write_text(dumps(GeneratorFamily(
+        shape=DirectSumShape(((2, 1),)),
+        generators=((mat(PrimeField(3), [[1, 2], [0, 1]]),),
+                    (mat(PrimeField(3), [[0, 1], [0, 2]]),)),
+        provenance="test")), encoding="utf-8")
+    for recipe in ("gap-plus", "gap-double"):
+        assert main(["construct", "--recipe", recipe, "--src", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not verified generating" in err
+
+
+@pytest.mark.parametrize("recipe", ["gap-plus", "gap-double", "mixed"])
+def test_construct_failed_output_check_exits_three(tmp_path, monkeypatch,
+                                                   capsys, recipe):
+    # the inputs pass their check; an output that fails its own can only
+    # come from a bug in the recipe
+    from matgen import construct
+
+    generates = construct._generates
+
+    def wrong(generators, shape):
+        # every input has one copy and every output two
+        return len(shape.copy_sizes) == 1 and generates(generators, shape)
+
+    src = tmp_path / "xy.json"
+    assert main(["construct", "--recipe", "xy", "--n", "2", "--domain", "f3",
+                 "--output", str(src)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(construct, "_generates", wrong)
+    args = (["--blocks", "2,3", "--domain", "f3"] if recipe == "mixed"
+            else ["--src", str(src)])
+    assert main(["construct", "--recipe", recipe, *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "failed its generation" in err
 
 
 def test_count_mode_validation():

@@ -6,6 +6,7 @@ from matgen.census import gen_value_2x2
 from matgen.conjugacy import intertwiners, simultaneously_conjugate
 from matgen.construct import (
     CONJ_CLASSES,
+    GeneratorFamily,
     TABLE16_MARKED,
     TABLE16_PAIRS,
     scalar_family_generators,
@@ -23,7 +24,7 @@ from matgen.construct import (
     verify_family,
 )
 from matgen.domains import QQ, ZZ, DomainError, PrimeField
-from matgen.generation import closure_generates, mat_tuple
+from matgen.generation import DirectSumShape, closure_generates, mat_tuple
 from matgen.linalg import (
     det,
     identity,
@@ -185,6 +186,16 @@ def test_combine_single_block_is_identity():
 def test_combine_rejects_repeated_sizes():
     with pytest.raises(DomainError):
         combine_mixed([standard_xy_family(2, F2), standard_xy_family(2, F2)])
+
+
+def test_combine_rejects_a_non_generating_family():
+    # E_11 alone spans a 1-dim subalgebra; the failure is the input's, so
+    # it is refused as a usage error before the output check can run
+    partial = GeneratorFamily(shape=DirectSumShape(((2, 1),)),
+                              generators=((unit_mat(F2, 2, 0, 0),),),
+                              provenance="test")
+    with pytest.raises(DomainError, match="not verified generating"):
+        combine_mixed([partial, standard_xy_family(3, F2)])
 
 
 # --- scalar families ---------------------------------------------------------------

@@ -234,6 +234,55 @@ def test_packed_fp_closure_at_a_127_bit_prime():
             assert (rep.verdict, rep.closure_dim) == want
 
 
+@st.composite
+def _q_closure_case(draw):
+    """(S, shape, include_identity) over Q: one to three blocks with n <= 3,
+    up to three elements.  Numerators and denominators reach 2^64.  So that
+    deficient closures occur, an element may be zero, all elements may be
+    upper triangular, and in every element a copy may repeat the copy
+    before it of the same size, as it is or conjugated by one fixed
+    I + r E_{1n} per copy; the copies of one element then carry different
+    denominators."""
+    blocks = draw(st.lists(st.tuples(st.integers(2, 3), st.integers(1, 2)),
+                           min_size=1, max_size=3)
+                  .filter(lambda b: sum(m * n * n for n, m in b) <= 18))
+    shape = DirectSumShape(tuple(blocks))
+    big = 2**64
+    entry = st.builds(Fraction,
+                      st.one_of(st.integers(-3, 3), st.integers(-big, big)),
+                      st.one_of(st.integers(1, 4), st.integers(1, big)))
+    rare = st.sampled_from([False, False, False, True])
+    repeat = draw(st.sampled_from([None, None, None, None, "equal", "conjugate"]))
+    triangular = draw(rare)
+    shifts = [draw(entry) if repeat == "conjugate" else 0
+              for _ in shape.copy_sizes]
+    S = []
+    for _ in range(3 - draw(st.integers(0, 3))):  # small draws lean to 0
+        zero = draw(rare)
+        elem = []
+        for n, r in zip(shape.copy_sizes, shifts):
+            if repeat and elem and elem[-1].n == n:
+                shift = smul(r, unit_mat(QQ, n, 0, n - 1))
+                p, p_inv = (madd(identity(QQ, n), smul(sign, shift))
+                            for sign in (1, -1))
+                elem.append(mmul(mmul(p, elem[-1]), p_inv))
+                continue
+            elem.append(mat(QQ, [[0 if zero or triangular and i > j
+                                  else draw(entry) for j in range(n)]
+                                 for i in range(n)]))
+        S.append(tuple(elem))
+    return S, shape, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_q_closure_case())
+def test_integer_q_closure_matches_fraction_reference(case):
+    S, shape, include_identity = case
+    rep = closure_generates(S, shape, include_identity, QQ)
+    want = echelon_closure(S, shape, include_identity, QQ)
+    assert (rep.verdict, rep.closure_dim) == want
+
+
 # --- the tuple criterion ----------------------------------------------------
 
 def test_th1_table_row_pair():
