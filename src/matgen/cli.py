@@ -34,7 +34,7 @@ def _parse_domain(text: str):
         return ZZ
     if text == "q":
         return QQ
-    if text.startswith("f"):
+    if text.startswith("f") and text[1:].isdecimal():
         return field_of_order(int(text[1:]))
     raise DomainError(f"unknown domain {text!r} (use z, q or f<q>)")
 
@@ -175,15 +175,23 @@ def _cmd_construct(args, cfg: RunConfig) -> int:
                else construct.gap_double(fam))
     elif recipe == "mixed":
         domain = _parse_domain(args.domain)
-        sizes = [int(x) for x in args.blocks.split(",")]
+        try:
+            sizes = [int(x) for x in args.blocks.split(",")]
+        except ValueError:
+            raise DomainError(f"cannot parse --blocks {args.blocks!r} "
+                              "(want sizes such as '2,3')") from None
         fams = [construct.standard_xy_family(n_i, domain) for n_i in sizes]
         fam = construct.combine_mixed(fams)
     elif recipe == "scalar-family":
         blocks = []
-        for part in args.blocks.split(";"):
-            head, scalars = part.split(":")
-            blocks.append((int(head),
-                           tuple(Fraction(s) for s in scalars.split(","))))
+        try:
+            for part in args.blocks.split(";"):
+                head, scalars = part.split(":")
+                blocks.append((int(head),
+                               tuple(Fraction(s) for s in scalars.split(","))))
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"cannot parse --blocks {args.blocks!r} (want "
+                              "blocks such as '2:0,1;3:0,1')") from None
         fam = construct.scalar_family_generators(blocks)
     else:
         raise DomainError(f"unknown recipe {recipe!r}")

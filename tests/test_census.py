@@ -383,6 +383,72 @@ def test_complement_cap():
         count_via_complement(7, 2)
 
 
+def _complement_reference(q, m):
+    """The complement count one tuple at a time: ambient minus the tuples
+    whose components all lie in one maximal subalgebra."""
+    cat = enumerate_maximal_subalgebras(q)
+    subalgebras = [b for _, b in cat.noncommutative] + list(cat.commutative)
+    masks = [0] * q**4
+    for s, basis in enumerate(subalgebras):
+        for idx in census._span_members(basis, q):
+            masks[idx] |= 1 << s
+    nongen = 0
+    for tup in itertools.product(masks, repeat=m):
+        acc = -1  # the empty AND: a 0-tuple lies in every subalgebra
+        for x in tup:
+            acc &= x
+        nongen += acc != 0
+    return q ** (4 * m) - nongen
+
+
+def _orbit_reference(q, n, m):
+    """Lexicographically-least generating tuples, one tuple and one PGL
+    permutation at a time."""
+    perms = census._pgl_conj_perms(q, n)
+    canonical = 0
+    for comps, ok in census._block_verdicts(q, n, m, 0, q ** (n * n * m)):
+        for tup in zip(*comps[:, ok].tolist()):
+            canonical += all(tuple(p[i] for i in tup) >= tup for p in perms)
+    return canonical
+
+
+@pytest.mark.parametrize("q,m", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0),
+                                 (3, 1), (3, 2), (4, 0), (4, 1), (4, 2),
+                                 (5, 0), (5, 1)])
+def test_complement_count_matches_per_tuple_reference(q, m):
+    assert count_via_complement(q, m) == _complement_reference(q, m)
+
+
+@pytest.mark.parametrize("q,n,m", [(2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 2, 3),
+                                   (3, 2, 0), (3, 2, 1), (3, 2, 2), (2, 3, 1)])
+def test_orbit_count_matches_per_tuple_reference(q, n, m):
+    assert orbit_count(q, n, m) == _orbit_reference(q, n, m)
+
+
+def test_complement_brute_force_and_formula_agree():
+    for q, m in ((2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0), (3, 1),
+                 (3, 2), (4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (5, 2)):
+        want = count_generating_bruteforce(q, 2, m).generating_count
+        assert count_via_complement(q, m) == want
+        if m >= 2:
+            assert gen_numerator_2x2(q, m) == want
+    # several blocks of prefixes each, up to the cap at q = 2
+    for q, m in ((3, 3), (4, 3), (2, 6)):
+        assert count_via_complement(q, m) == gen_numerator_2x2(q, m)
+
+
+def test_complement_refuses_negative_m_and_the_cap():
+    for q, m in ((2, -1), (3, -2), (5, -1)):
+        with pytest.raises(DomainError, match="m must be"):
+            count_via_complement(q, m)
+    # q^(4m) over CENSUS_CAP = 2^26 is refused before any allocation
+    start = time.perf_counter()
+    for q, m in ((2, 7), (2, 9), (3, 5), (4, 4), (5, 3)):
+        with pytest.raises(DomainError, match="exceeds cap"):
+            count_via_complement(q, m)
+    assert time.perf_counter() - start < 0.1
+
+
 # --- sampling and the n = 1 report -----------------------------------------------
 
 def test_sampling_exact_and_seeded():

@@ -226,6 +226,17 @@ def test_check_survives_one_mutated_leaf(tmp_path_factory, data):
     assert time.perf_counter() - start < 5
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(-1, 9), n=st.integers(0, 3), m=st.integers(-2, 4),
+       mode=st.sampled_from(["formula", "complement"]))
+def test_count_survives_small_arguments(q, n, m, mode):
+    # brute is left out: a census just under the cap takes tens of seconds
+    start = time.perf_counter()
+    assert main(["count", "--q", str(q), "--n", str(n), "--m", str(m),
+                 "--mode", mode]) in (0, 1, 2)
+    assert time.perf_counter() - start < 5
+
+
 def test_check_missing_file_exits_two(tmp_path):
     assert main(["check", "--input", str(tmp_path / "nope.json")]) == 2
 
@@ -255,6 +266,17 @@ def test_construct_scalar_family_round_trip(tmp_path, capsys):
                  "--blocks", "2:0,1,2;3:0,1", "--output", str(out)]) == 0
     capsys.readouterr()
     assert main(["check", "--input", str(out)]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["--recipe", "scalar-family", "--blocks", "2"],
+    ["--recipe", "scalar-family", "--blocks", "2:1/0"],
+    ["--recipe", "mixed", "--domain", "f2", "--blocks", "2,x"],
+    ["--recipe", "xy", "--domain", "fx"],
+])
+def test_construct_malformed_arguments_exit_two(args, capsys):
+    assert main(["construct", *args]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_construct_gap_recipes_round_trip(tmp_path, capsys):
