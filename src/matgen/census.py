@@ -501,8 +501,11 @@ def gen_value_1x1(q: int, m: int, convention: str = "projective") -> int:
 
 
 def asymptotic_upper_bound(q: int, n: int, m: int) -> Fraction:
-    """(q-1) q^{(m-1)n^2} prod_{k=1..n} (1 - q^{-k})^{-1}, exact."""
+    """(q-1) q^{(m-1)n^2} prod_{k=1..n} (1 - q^{-k})^{-1}, exact; refuses
+    n < 1 and m < 1."""
     _require_field(q)
+    if n < 1 or m < 1:
+        raise DomainError("the bound needs n >= 1 and m >= 1")
     out = Fraction(q - 1) * Fraction(q) ** ((m - 1) * n * n)
     for k in range(1, n + 1):
         out *= Fraction(q**k, q**k - 1)

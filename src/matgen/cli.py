@@ -88,7 +88,6 @@ def _cmd_count(args, cfg: RunConfig) -> int:
 def _cmd_check(args, cfg: RunConfig) -> int:
     tf = tuplefile.load_path(args.input)
     domain = tf.domain
-    sizes = tf.shape.copy_sizes
     report = {"input": args.input, "coeff": domain.kind}
     if domain.is_field:
         if tf.is_homogeneous and domain.char != 0:
@@ -109,20 +108,10 @@ def _cmd_check(args, cfg: RunConfig) -> int:
         _emit(report, cfg, [f"generating: {rep.verdict}"])
         return 0 if rep.verdict else 1
     if domain == ZZ:
-        if all(n_i == 2 for n_i in sizes):
-            verdict = zverify.verify_z_tuples(tf.generators)
-            report["verification"] = verdict.to_json()
-            _emit(report, cfg, [f"generating (certified): {verdict.overall}"])
-            return 0 if verdict.overall else 1
-        sweep = zverify.verify_z_prime_sweep(tf.generators)
-        report["verification"] = sweep
-        if sweep["refuted_at"]:
-            _emit(report, cfg, [f"not generating (fails mod "
-                                f"{sweep['refuted_at'][0]})"])
-            return 1
-        _emit(report, cfg, ["prime sweep passed but certification for "
-                            "n != 2 is out of scope (incomplete)"])
-        return 2
+        verdict = zverify.verify_z_tuples(tf.generators)
+        report["verification"] = verdict.to_json()
+        _emit(report, cfg, [f"generating (certified): {verdict.overall}"])
+        return 0 if verdict.overall else 1
     raise DomainError(f"cannot check files over {domain!r}")
 
 

@@ -3,10 +3,12 @@
 The relation A_i = C^{-1} B_i C is linearized as C A_i = B_i C, so the
 candidate conjugators form the kernel of a stacked linear system; deciding
 conjugacy means deciding whether that kernel contains an invertible matrix.
-For 2x2 tuples over Z this extends to a certificate covering every prime at
-once: det is a quadratic form on the kernel, and its vanishing is read off
-finitely many values, with the finitely many exceptional primes (divisors of
-the elementary divisors of the system) checked individually.
+Over Z this extends to a certificate covering every prime at once.  For 2x2
+tuples det is a quadratic form on the kernel, and its vanishing is read off
+finitely many values; for n >= 3 the tuples must generate M_n(Z), and then
+every intertwiner space has dimension 0 or 1 (see nonconjugate_all_primes).
+Either way the finitely many exceptional primes (divisors of the elementary
+divisors of the system) are checked individually.
 """
 
 from __future__ import annotations
@@ -166,9 +168,11 @@ def _form_points(basis):
 def _witness_from_span(space: IntertwinerSpace, field):
     """Invertible element of the span, or None.
 
-    n = 2: the first point of _form_points whose det is a unit.  n >= 3:
-    enumeration of the span while q^dim fits ENUMERATION_CAP; above the cap,
-    and over Q, UndecidableError is raised.
+    n = 2: the first point of _form_points whose det is a unit.  n >= 3: a
+    line is decided at any q by its first nonzero multiple c b, the element
+    enumeration tries first, since det(c b) = c^n det(b); a larger span is
+    enumerated while q^dim fits ENUMERATION_CAP.  Above the cap, and over Q,
+    UndecidableError is raised.
     """
     dim = space.dim
     if dim == 0:
@@ -177,11 +181,14 @@ def _witness_from_span(space: IntertwinerSpace, field):
     if n == 2:
         return next((b for b, d in _form_points(space.basis)
                      if field.is_unit(d)), None)
-    if field.char == 0 or field.size**dim > ENUMERATION_CAP:
+    if field.char == 0 or (dim > 1 and field.size**dim > ENUMERATION_CAP):
         raise UndecidableError(
             f"n = {n} intertwiner space of dimension {dim} over {field!r} "
             "exceeds the enumeration cap; undecidable under current strategy")
     zero = field.zero()
+    if dim == 1:
+        cand = smul(next(c for c in field.elements() if c != zero), space.basis[0])
+        return cand if field.is_unit(det(cand)) else None
     for coeffs in itertools.product(field.elements(), repeat=dim):
         if all(c == zero for c in coeffs):
             continue
@@ -212,8 +219,9 @@ def simultaneously_conjugate(tuple_a, tuple_b) -> Optional[Mat]:
     """Witness C in GL_n with C A_i = B_i C for all i, or None.
 
     n = 2 is decided by det, a quadratic form on the intertwiner space, at
-    any q; n >= 3 by enumerating the intertwiner space while q^dim fits
-    ENUMERATION_CAP, and refused with UndecidableError above it and over Q.
+    any q; n >= 3 by one point of a 1-dimensional space at any q, and a
+    larger space by enumeration while q^dim fits ENUMERATION_CAP; refused
+    with UndecidableError above it and over Q.
     """
     if not tuple_a.domain.is_field:
         raise DomainError("simultaneously_conjugate requires a field")
@@ -231,18 +239,32 @@ def _modp_verdict(tuple_a, tuple_b, p: int) -> PrimeVerdict:
 
 
 def nonconjugate_all_primes(tuple_a, tuple_b) -> NonConjCertificate:
-    """Certify that two integer 2x2 tuples are conjugate modulo no prime.
+    """Certify that two integer tuples are conjugate modulo no prime.
 
     overall is True exactly when no prime p admits an invertible mod-p
-    intertwiner.  Soundness: away from primes dividing the elementary
-    divisors of the stacked system, the mod-p kernel is the reduction of the
-    saturated rational kernel, where det vanishes identically whenever all
-    polarization values vanish.
+    intertwiner.  Soundness for n = 2: away from primes dividing the
+    elementary divisors of the stacked system, the mod-p kernel is the
+    reduction of the saturated rational kernel, where det vanishes
+    identically whenever all polarization values vanish.  n >= 3 needs both
+    tuples to generate M_n(Z), or DomainError is raised; then every
+    intertwiner space has dimension 0 or 1 (Schur's lemma; see
+    matgen.zverify), so rational_kernel_dim <= 1, det_vanishes_on_kernel
+    holds exactly when that kernel is 0, and no cross terms are listed.
     """
     if tuple_a.domain != ZZ or tuple_b.domain != ZZ:
         raise DomainError("all-primes certification works over Z")
-    if tuple_a.n != 2:
-        raise DomainError("all-primes certification is complete for n = 2 only")
+    if tuple_a.n >= 3:
+        from .generation import lattice_generates_MnZ
+
+        if not all(lattice_generates_MnZ(t.mats, t.n)[0]
+                   for t in (tuple_a, tuple_b)):
+            raise DomainError("certification for n >= 3 needs tuples that "
+                              "generate M_n(Z)")
+    return _certificate(tuple_a, tuple_b)
+
+
+def _certificate(tuple_a, tuple_b) -> NonConjCertificate:
+    """nonconjugate_all_primes without its n >= 3 precondition check."""
     space = intertwiners(tuple_a, tuple_b)
     dim = space.dim
     points = list(_form_points(space.basis))

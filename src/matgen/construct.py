@@ -25,7 +25,7 @@ from .generation import (
     shape_of,
 )
 from .linalg import Mat, identity, is_zero_mat, madd, mat, mmul, smul, zero_mat
-from .zverify import SAMPLE_PRIMES, closure_mod_p
+from .zverify import z_generates
 
 STANDARD_XY = "standard-xy"
 GAP_PLUS_ONE = "gap-plus-one"
@@ -55,8 +55,8 @@ class GeneratorFamily:
 
 
 def verify_family(family: GeneratorFamily) -> bool:
-    """Generation check: span closure over a field; over Z, per-copy lattice
-    closure plus closure of the whole sum modulo the primes SAMPLE_PRIMES."""
+    """Generation check: span closure over a field; over Z, the exact
+    decision zverify.z_generates, for every block size."""
     return _generates(family.generators, family.shape)
 
 
@@ -66,12 +66,7 @@ def _generates(generators, shape) -> bool:
         return closure_generates(generators, shape).verdict
     if domain != ZZ:
         raise DomainError("families live over a field or Z")
-    for cs in zip(*generators):  # the cross-sections, one per copy
-        ok, _ = lattice_generates_MnZ(list(cs), cs[0].n)
-        if not ok:
-            return False
-    return all(closure_mod_p(generators, shape, p).verdict
-               for p in SAMPLE_PRIMES)
+    return z_generates(generators)
 
 
 def _emit(shape, generators, provenance) -> GeneratorFamily:

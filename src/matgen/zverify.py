@@ -1,11 +1,12 @@
 """End-to-end verification over the integers.
 
-A set of k integer tuples generates M_2(Z)^m exactly when every vertical
-cross-section generates M_2(Z) and no two cross-sections are conjugate
-modulo any prime; the former is decided twice (det-commutator and lattice
-closure, which must agree), the latter by the all-primes certificate.
-Reduction of the whole sum modulo a small prime sample runs as a redundant
-oracle on top.
+k integer tuples generate the sum of their copies, each some M_n(Z),
+exactly when every copy generates M_n(Z), which lattice closure decides,
+and no two copies are conjugate modulo any prime; copies of different
+sizes never are.  Two copies that generate M_n(Z) generate M_n(F_p) at
+every p, so by Schur's lemma every nonzero mod-p intertwiner between them
+is invertible: they are conjugate modulo no prime exactly when the system
+C A = B C (conjugacy._stacked_rows) has n^2 elementary divisors, all 1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .census import gen_value_2x2
-from .conjugacy import nonconjugate_all_primes
+from .conjugacy import _certificate, _stacked_rows, nonconjugate_all_primes
 from .domains import ZZ, DomainError, InvariantError
 from .generation import (
     DirectSumShape,
@@ -23,12 +24,12 @@ from .generation import (
     lattice_generates_MnZ,
     mat_tuple,
 )
-from .linalg import commutator, det, reduce_mod, smul
+from .linalg import commutator, det, reduce_mod, smul, snf
 
-# The primes at which construct.verify_family and verify_z_tuples also close
-# the whole integer family mod p, as a redundant check.
+# verify_z_tuples closes the whole integer family mod these primes as a
+# redundant oracle; a certified family that fails one raises InvariantError.
 SAMPLE_PRIMES = (2, 3, 5)
-# verify_z_prime_sweep's default and local_global_generator_count's primes.
+# local_global_generator_count's primes.
 SWEEP_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
@@ -43,7 +44,7 @@ def closure_mod_p(elems, shape: DirectSumShape, p: int):
 class CrossSectionVerdict:
     index: int
     lattice_ok: bool
-    det_commutator: Optional[int] = None  # only defined for pairs
+    det_commutator: Optional[int] = None  # only defined for 2x2 pairs
     det_ok: Optional[bool] = None
 
 
@@ -78,9 +79,10 @@ class ZGenVerdict:
         }
 
 
-def _integer_elements(generators) -> list:
-    """The generators as tuples of integer Mat, one per copy; refuses an
-    empty set, a non-integer entry or differing copy counts."""
+def _copies(generators):
+    """The cross-sections of the generators as MatTuple, one per copy, and
+    their DirectSumShape; refuses an empty set, a non-integer entry,
+    differing copy counts, a copy whose sizes differ and sizes below 2."""
     elems = [tuple(g.mats) if hasattr(g, "mats") else tuple(g) for g in generators]
     if not elems:
         raise DomainError("need at least one generator")
@@ -89,87 +91,75 @@ def _integer_elements(generators) -> list:
             raise DomainError("generators must share the copy count")
         if any(a.domain != ZZ for a in elem):
             raise DomainError("integer matrices required")
-    return elems
+    copies = [mat_tuple(cs) for cs in zip(*elems)]
+    return copies, DirectSumShape(tuple(
+        (n_i, len(list(run))) for n_i, run in itertools.groupby(c.n for c in copies)))
+
+
+def z_generates(generators: Sequence) -> bool:
+    """Do k integer tuples (sequences of Mat, one per copy, of any sizes)
+    generate the sum of their copies?  The exact decision of the module
+    docstring: lattice closure, then the unit-divisor test per pair."""
+    copies, _ = _copies(generators)
+    if not all(lattice_generates_MnZ(c.mats, c.n)[0] for c in copies):
+        return False
+    return all(set(snf(_stacked_rows(a, b, ZZ))) == {1}
+               for a, b in itertools.combinations(copies, 2) if a.n == b.n)
 
 
 def verify_z_tuples(generators: Sequence) -> ZGenVerdict:
-    """Certify k integer tuples as generators of M_2(Z)^m.
+    """z_generates with its evidence, for the same inputs.
 
-    generators: k sequences of m integer 2x2 Mat (or MatTuple).  Complete
-    for n = 2; use verify_z_prime_sweep for other sizes (incomplete).
+    Each copy gets a lattice closure, and a 2x2 copy of two generators also
+    the det-commutator test, which must agree.  Each pair of equal-size
+    copies gets the all-primes certificate, unless a copy of size n >= 3
+    fails lattice closure (the verdict is then False anyway).  For two
+    lattice-generating copies it must read as the divisors do: every kernel
+    dimension at most 1, and overall exactly when all of them are 0.  A
+    certified family must also close modulo every prime of SAMPLE_PRIMES.
     """
-    elems = _integer_elements(generators)
-    if any(a.n != 2 for elem in elems for a in elem):
-        raise DomainError("complete certification needs n = 2; "
-                          "use verify_z_prime_sweep for other sizes")
-    m = len(elems[0])
-    k = len(elems)
+    copies, shape = _copies(generators)
+    k = copies[0].m
 
     componentwise = []
-    all_components_ok = True
-    for i in range(m):
-        cs = [elem[i] for elem in elems]
-        lattice_ok, _ = lattice_generates_MnZ(cs, 2)
+    for i, cs in enumerate(copies):
+        lattice_ok, _ = lattice_generates_MnZ(cs.mats, cs.n)
         det_val = det_ok = None
-        if k == 2:
-            det_val = det(commutator(cs[0], cs[1]))
+        if k == 2 and cs.n == 2:
+            det_val = det(commutator(*cs.mats))
             det_ok = det_val in (1, -1)
             if det_ok != lattice_ok:
                 raise InvariantError(
                     "det-commutator and lattice closure disagree; bug")
         componentwise.append(CrossSectionVerdict(i, lattice_ok, det_val, det_ok))
-        all_components_ok &= lattice_ok
 
     pairwise = []
-    all_pairs_ok = True
-    for i in range(m):
-        for j in range(i + 1, m):
-            cert = nonconjugate_all_primes(
-                mat_tuple([elem[i] for elem in elems]),
-                mat_tuple([elem[j] for elem in elems]))
-            pairwise.append((i, j, cert))
-            all_pairs_ok &= cert.overall
+    for (i, a), (j, b) in itertools.combinations(enumerate(copies), 2):
+        schur = componentwise[i].lattice_ok and componentwise[j].lattice_ok
+        if a.n != b.n or (a.n >= 3 and not schur):
+            continue
+        # the public entry would close n >= 3 copies again for its precondition
+        certify = nonconjugate_all_primes if a.n == 2 else _certificate
+        cert = certify(a, b)
+        if schur:
+            dims = [cert.rational_kernel_dim] + [
+                pv.kernel_dim for pv in cert.exceptional_primes]
+            if max(dims) > 1 or cert.overall != (not any(dims)):
+                raise InvariantError(f"certificate of copies {i}, {j} "
+                                     "disagrees with its divisors; bug")
+        pairwise.append((i, j, cert))
 
-    shape = DirectSumShape(((2, m),))
     direct = []
     for p in SAMPLE_PRIMES:
-        rep = closure_mod_p(elems, shape, p)
+        rep = closure_mod_p(zip(*(c.mats for c in copies)), shape, p)
         direct.append((p, rep.closure_dim, rep.ambient_dim, rep.verdict))
 
-    overall = all_components_ok and all_pairs_ok
+    overall = (all(cs.lattice_ok for cs in componentwise)
+               and all(cert.overall for _, _, cert in pairwise))
     if overall and not all(ok for _, _, _, ok in direct):
         raise InvariantError("certificate passed but a mod-p closure failed; bug")
-    return ZGenVerdict(
-        componentwise=tuple(componentwise),
-        pairwise=tuple(pairwise),
-        direct_modp=tuple(direct),
-        overall=overall,
-    )
-
-
-def verify_z_prime_sweep(generators: Sequence, primes=SWEEP_PRIMES) -> dict:
-    """Mod-p generation of a direct sum over Z for the sampled primes only.
-
-    A failing prime is a definitive negative; passing every sampled prime
-    certifies nothing, which the report states explicitly.
-    """
-    elems = _integer_elements(generators)
-    shape = DirectSumShape(tuple((n_i, len(list(run))) for n_i, run in
-                                 itertools.groupby(a.n for a in elems[0])))
-    per_prime = []
-    for p in primes:
-        rep = closure_mod_p(elems, shape, p)
-        per_prime.append({"p": p, "ok": rep.verdict,
-                          "closure_dim": rep.closure_dim,
-                          "ambient_dim": rep.ambient_dim})
-    failed = [r["p"] for r in per_prime if not r["ok"]]
-    return {
-        "schema_version": 1,
-        "complete": False,
-        "note": "prime sweep only; cannot certify generation over Z",
-        "primes": per_prime,
-        "refuted_at": failed,
-    }
+    return ZGenVerdict(tuple(componentwise), tuple(pairwise), tuple(direct),
+                       overall)
 
 
 @dataclass(frozen=True)

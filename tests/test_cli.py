@@ -237,6 +237,21 @@ def test_count_survives_small_arguments(q, n, m, mode):
     assert time.perf_counter() - start < 5
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(-1, 9), n=st.integers(-1, 3), m=st.integers(-2, 4))
+def test_bound_survives_small_arguments(q, n, m):
+    start = time.perf_counter()
+    assert main(["bound", "--q", str(q), "--n", str(n), "--m", str(m)]) in (0, 1, 2)
+    assert time.perf_counter() - start < 5
+
+
+def test_bound_refuses_n_and_m_below_one(capsys):
+    for n, m in ((0, 2), (-1, 2), (3, 0)):
+        assert main(["bound", "--q", "2", "--n", str(n), "--m", str(m)]) == 2
+        captured = capsys.readouterr()
+        assert "n >= 1 and m >= 1" in captured.err and captured.out == ""
+
+
 def test_check_missing_file_exits_two(tmp_path):
     assert main(["check", "--input", str(tmp_path / "nope.json")]) == 2
 
@@ -404,3 +419,81 @@ def test_cli_import_leaves_numpy_unloaded():
          "import sys, matgen.cli; print('numpy' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+# --- integer files: one exact decision for every block size -----------------
+
+def _z_file(tmp_path, name, shape, generators):
+    path = tmp_path / name
+    path.write_text(json.dumps({
+        "coeff": {"kind": "integers"}, "shape": shape,
+        "generators": [[[[str(x) for x in row] for row in m] for m in g]
+                       for g in generators]}), encoding="utf-8")
+    return str(path)
+
+
+def test_check_and_gap_recipes_refuse_a_pair_conjugate_mod_7(tmp_path, capsys):
+    # the two copies generate M_2(Z) and are conjugate modulo 7 only
+    swap, e11 = [[0, 1], [1, 0]], [[1, 0], [0, 0]]
+    path = _z_file(tmp_path, "mod7.json", [[2, 2]],
+                   [[swap, swap], [e11, [[-6, 7], [7, -7]]]])
+    assert main(["check", "--input", path]) == 1
+    assert "generating (certified): False" in capsys.readouterr().out
+    for recipe in ("gap-plus", "gap-double"):
+        assert main(["construct", "--recipe", recipe, "--src", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not verified generating" in err
+
+
+ZGEN_KEYS = {"schema_version", "componentwise", "pairwise", "direct_modp",
+             "overall"}
+
+
+@pytest.mark.parametrize("steps", [
+    [["--recipe", "mixed", "--domain", "z", "--blocks", "2,3"]],
+    [["--recipe", "xy", "--n", "3", "--domain", "z"],
+     ["--recipe", "gap-double", "--src", "{prev}"]],
+])
+def test_construct_z_families_of_any_size_are_certified(tmp_path, capsys, steps):
+    prev = None
+    for i, argv in enumerate(steps):
+        out = str(tmp_path / f"step{i}.json")
+        argv = [a.replace("{prev}", str(prev)) for a in argv]
+        assert main(["construct", *argv, "--output", out]) == 0
+        prev = out
+    capsys.readouterr()
+    assert main(["check", "--input", prev]) == 0
+    assert "generating (certified): True" in capsys.readouterr().out
+    assert main(["--json", "check", "--input", prev]) == 0
+    record = json.loads(capsys.readouterr().out)["verification"]
+    assert set(record) == ZGEN_KEYS and record["schema_version"] == 1
+    assert record["overall"] is True
+    for cs in record["componentwise"]:
+        assert set(cs) == {"index", "lattice_ok", "det_commutator", "det_ok"}
+    for pair in record["pairwise"]:
+        assert set(pair) == {"i", "j", "certificate"}
+        assert set(pair["certificate"]) == {
+            "schema_version", "rational_kernel_dim", "det_vanishes_on_kernel",
+            "polarization", "exceptional_primes", "witness_prime", "overall"}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_check_certificate_against_divisors_exits_three(tmp_path, monkeypatch,
+                                                        capsys, n):
+    # a lattice closure that passes the non-generating copy E_11 breaks the
+    # Schur precondition: the certificate's kernel of dimension > 1 then
+    # disagrees with the divisor reading
+    from matgen import zverify
+
+    lattice = zverify.lattice_generates_MnZ
+
+    def lenient(S, n):
+        return True, lattice(S, n)[1]
+
+    e11 = [[int(i == j == 0) for j in range(n)] for i in range(n)]
+    path = _z_file(tmp_path, "e11.json", [[n, 2]], [[e11, e11]])
+    assert main(["check", "--input", path]) == 1
+    monkeypatch.setattr(zverify, "lattice_generates_MnZ", lenient)
+    assert main(["check", "--input", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "disagrees" in err

@@ -437,3 +437,56 @@ def test_certificate_refuses_a_semiprime_beyond_the_rho_cap():
     t = _upper_pair((2**89 - 1) * (2**107 - 1))
     with pytest.raises(UndecidableError, match=str(RHO_ITERATIONS)):
         nonconjugate_all_primes(t, t)
+
+
+# --- n >= 3 certificates by Schur's lemma --------------------------------------
+
+def _xy3():
+    from matgen.construct import standard_xy
+
+    return standard_xy(3, ZZ)
+
+
+def _shear3():
+    """U = I + E_12 and its inverse."""
+    return (mat(ZZ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+            mat(ZZ, [[1, -1, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def test_3x3_certificate_refuses_a_non_generating_tuple():
+    X, Y = _xy3()
+    with pytest.raises(DomainError, match="generate M_n"):
+        nonconjugate_all_primes(mat_tuple([X, Y]), mat_tuple([X, X]))
+
+
+def test_3x3_certificate_of_conjugate_tuples_reads_by_schur():
+    X, Y = _xy3()
+    u, u_inv = _shear3()
+    a = mat_tuple([X, Y])
+    b = mat_tuple([mmul(mmul(u, x), u_inv) for x in (X, Y)])
+    cert = nonconjugate_all_primes(a, b)
+    assert not cert.overall
+    assert cert.rational_kernel_dim == 1 and not cert.det_vanishes_on_kernel
+    assert cert.polarization_cross == ()
+    assert all(pv.kernel_dim == 1 for pv in cert.exceptional_primes)
+    p, w = cert.witness
+    assert p == 2 and w.rows == tuple(tuple(x % 2 for x in r) for r in u.rows)
+
+
+def test_3x3_pair_conjugate_only_above_the_enumeration_cap_is_decided():
+    # conjugate mod 4099 > ENUMERATION_CAP only, by U, not by the identity
+    X, Y = _xy3()
+    p = 4099
+    u, u_inv = _shear3()
+    z = mat(ZZ, [[0, 1, -1], [-1, 1, -1], [1, 0, 1]])
+    a = mat_tuple([X, Y])
+    b = mat_tuple([mmul(mmul(u, x), u_inv) for x in (X, madd(Y, smul(p, z)))])
+    cert = nonconjugate_all_primes(a, b)
+    assert not cert.overall and cert.rational_kernel_dim == 0
+    assert [pv.p for pv in cert.exceptional_primes] == [2, p]
+    assert cert.witness[0] == p
+    assert cert.witness[1].rows == u.rows
+    fp = PrimeField(p)
+    reduced = [mat_tuple([mat(fp, [[x % p for x in r] for r in m.rows])
+                          for m in t.mats]) for t in (a, b)]
+    assert simultaneously_conjugate(*reduced).rows == u.rows

@@ -38,10 +38,9 @@ def test_round_trip_extension_field():
 def test_round_trip_preserves_verdict():
     fam = standard_xy_family(3, ZZ)
     parsed = loads(dumps(fam))
-    from matgen.zverify import verify_z_prime_sweep
+    from matgen.zverify import verify_z_tuples
 
-    sweep = verify_z_prime_sweep(parsed.generators)
-    assert sweep["refuted_at"] == []
+    assert verify_z_tuples(parsed.generators).overall
 
 
 def test_serialized_document_fields():

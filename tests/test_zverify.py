@@ -1,17 +1,18 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from matgen.construct import standard_xy, table16
+from matgen.construct import TABLE16_PAIRS, standard_xy, table16
 from matgen.domains import QQ, ZZ, DomainError
 from matgen.generation import det_commutator_generates, lattice_generates_MnZ
-from matgen.linalg import mat, unit_mat
+from matgen.linalg import identity, madd, mat, mmul, smul, unit_mat
 from matgen.zverify import (
     local_global_generator_count,
     scaled_set_counterexample,
-    verify_z_prime_sweep,
     verify_z_tuples,
+    z_generates,
 )
 
 
@@ -49,30 +50,39 @@ def test_transposed_unit_cross_sections_fail():
 
 
 def test_non_2x2_requires_the_sweep():
+    # the 3x3 standard pair is certified exactly, with no prime sweep
     X, Y = standard_xy(3, ZZ)
-    with pytest.raises(DomainError):
-        verify_z_tuples([(X,), (Y,)])
-    sweep = verify_z_prime_sweep([(X,), (Y,)])
-    assert sweep["complete"] is False
-    assert sweep["refuted_at"] == []
-    assert all(r["ok"] for r in sweep["primes"])
+    verdict = verify_z_tuples([(X,), (Y,)])
+    assert verdict.overall and z_generates([(X,), (Y,)])
+    assert verdict.componentwise[0].lattice_ok
+    assert verdict.componentwise[0].det_commutator is None
+    assert verdict.pairwise == ()
+    assert all(ok for _, _, _, ok in verdict.direct_modp)
 
 
 def test_sweep_refutes_scaled_sets():
+    # {3X, 3Y} fails lattice closure, and its redundant mod-p closures fail
+    # at 3 only
     X, Y = standard_xy(2, ZZ)
     from matgen.linalg import smul
 
-    sweep = verify_z_prime_sweep([(smul(3, X),), (smul(3, Y),)],
-                                 primes=(2, 3, 5))
-    assert sweep["refuted_at"] == [3]
+    generators = [(smul(3, X),), (smul(3, Y),)]
+    verdict = verify_z_tuples(generators)
+    assert not verdict.overall and not z_generates(generators)
+    assert not verdict.componentwise[0].lattice_ok
+    assert [p for p, _, _, ok in verdict.direct_modp if not ok] == [3]
 
 
 def test_sweep_refuses_malformed_input():
     X, Y = standard_xy(2, ZZ)
+    X3, _ = standard_xy(3, ZZ)
     half = mat(QQ, [[Fraction(1, 2), 0], [0, 1]])
-    for generators in ([], [(X,), (half,)], [(X,), (Y, X)]):
-        with pytest.raises(DomainError):
-            verify_z_prime_sweep(generators)
+    one = mat(ZZ, [[1]])
+    for generators in ([], [(X,), (half,)], [(X,), (Y, X)], [(X,), (X3,)],
+                       [(one, one)]):
+        for decide in (verify_z_tuples, z_generates):
+            with pytest.raises(DomainError):
+                decide(generators)
 
 
 def test_det_and_lattice_agree_exhaustively():
@@ -137,3 +147,108 @@ def test_verdict_json_round_trips():
     parsed = json.loads(json.dumps(data))
     assert parsed["overall"] is True
     assert parsed["schema_version"] == 1
+
+
+# --- one exact decision: z_generates against the certificate ----------------
+
+# Z of the 3x3 analogue of the mod-7 pair: (X, X), (Y, Y + 7 Z)
+Z3 = ((0, 1, -1), (-1, 1, -1), (1, 0, 1))
+
+
+def test_3x3_pair_conjugate_only_mod_7_is_rejected():
+    X, Y = standard_xy(3, ZZ)
+    Y7 = madd(Y, smul(7, mat(ZZ, Z3)))
+    assert lattice_generates_MnZ([X, Y7], 3)[0]
+    generators = [(X, X), (Y, Y7)]
+    assert not z_generates(generators)
+    verdict = verify_z_tuples(generators)
+    assert not verdict.overall
+    assert all(cs.lattice_ok for cs in verdict.componentwise)
+    [(i, j, cert)] = verdict.pairwise
+    assert (i, j) == (0, 1) and cert.witness[0] == 7
+    assert cert.rational_kernel_dim == 0 and cert.det_vanishes_on_kernel
+    assert cert.polarization_cross == ()
+    assert [(pv.p, pv.kernel_dim) for pv in cert.exceptional_primes] == \
+        [(2, 0), (7, 1)]
+
+
+def _int_mat(rng, n, span=2):
+    return mat(ZZ, [[rng.randint(-span, span) for _ in range(n)]
+                    for _ in range(n)])
+
+
+def _unimodular(rng, n):
+    """U and U^-1, a product of three elementary matrices."""
+    u = u_inv = identity(ZZ, n)
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        u = mmul(madd(identity(ZZ, n), smul(c, unit_mat(ZZ, n, i, j))), u)
+        u_inv = mmul(u_inv, madd(identity(ZZ, n), smul(-c, unit_mat(ZZ, n, i, j))))
+    return u, u_inv
+
+
+def _generates_MnZ(copy, n):
+    return det_commutator_generates(*copy) if n == 2 else \
+        lattice_generates_MnZ(copy, n)[0]
+
+
+def _generating_copy(rng, n):
+    while True:
+        copy = (_int_mat(rng, n), _int_mat(rng, n))
+        if _generates_MnZ(copy, n):
+            return copy
+
+
+def _seeded_pair(rng, n):
+    """Two generators of two lattice-generating copies; the second copy is
+    a unimodular conjugate of the first plus p times a small matrix, so
+    some pairs are conjugate modulo a prime and most are not."""
+    a = _generating_copy(rng, n)
+    u, u_inv = _unimodular(rng, n)
+    p = rng.choice((2, 3, 5, 7, 11))
+    b = tuple(madd(mmul(mmul(u, x), u_inv), smul(p, _int_mat(rng, n, 1)))
+              for x in a)
+    if not _generates_MnZ(b, n):
+        b = _generating_copy(rng, n)
+    return list(zip(a, b))
+
+
+@pytest.mark.parametrize("n, count", [(2, 200), (3, 40)])
+def test_z_generates_matches_certificate_on_seeded_pairs(n, count):
+    rng = random.Random(11)
+    verdicts = []
+    for _ in range(count):
+        generators = _seeded_pair(rng, n)
+        verdict = z_generates(generators)
+        assert verify_z_tuples(generators).overall == verdict
+        verdicts.append(verdict)
+    assert 0 < verdicts.count(False) < count // 2
+
+
+def test_z_generates_matches_certificate_on_table16_columns():
+    rng = random.Random(12)
+    for copies in (1, 2, 3, 5, 8):
+        for _ in range(3):
+            # with replacement: a repeated column is conjugate to itself
+            cols = rng.choices(range(len(TABLE16_PAIRS)), k=copies)
+            generators = [tuple(mat(ZZ, TABLE16_PAIRS[c][w]) for c in cols)
+                          for w in (0, 1)]
+            verdict = z_generates(generators)
+            assert verify_z_tuples(generators).overall == verdict
+            assert verdict == (len(set(cols)) == copies)
+    assert z_generates(table16().generators)
+
+
+def test_mixed_sizes_are_decided():
+    X2, Y2 = standard_xy(2, ZZ)
+    X3, Y3 = standard_xy(3, ZZ)
+    generators = [(X2, X3, X2), (Y2, Y3, madd(X2, Y2))]
+    verdict = verify_z_tuples(generators)
+    assert verdict.overall and z_generates(generators)
+    # copies of different sizes get no certificate
+    assert [(i, j) for i, j, _ in verdict.pairwise] == [(0, 2)]
+    assert [amb for _, _, amb, _ in verdict.direct_modp] == [17] * 3
+    duplicated = [(X2, X3, X2), (Y2, Y3, Y2)]
+    assert not verify_z_tuples(duplicated).overall
+    assert not z_generates(duplicated)
