@@ -750,41 +750,7 @@ def count_via_complement(q: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sampling and the n = 1 report
-
-
-def sample_generation_probability(q: int, n: int, m: int,
-                                  samples: Optional[int] = None,
-                                  seed: int = 0) -> Fraction:
-    """Probability that a uniform m-tuple generates M_n(F_q).
-
-    samples=None computes the exact value from the census; otherwise a
-    seeded, reproducible sample estimate is returned.
-    """
-    _require_field(q)
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    if m == 0:
-        return Fraction(0)
-    if samples is None:
-        res = count_generating_bruteforce(q, n, m)
-        return Fraction(res.generating_count, res.ambient_count)
-    import random
-
-    import numpy as np
-
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    N = q ** (n * n)
-    if N > 2**63:
-        raise DomainError("sampling needs q^(n^2) <= 2^63")
-    rng = random.Random(seed)
-    hits = 0
-    for start in range(0, samples, BLOCK):
-        size = min(BLOCK, samples - start)
-        ids = np.array([rng.randrange(N) for _ in range(size * m)], np.int64)
-        hits += int(_generates_block(ids.reshape(size, m).T, q, n).sum())
-    return Fraction(hits, samples)
+# the n = 1 report
 
 
 def n1_census_report(q: int, m: int) -> dict:

@@ -106,6 +106,8 @@ class NonConjCertificate:
 
 def _stacked_rows(tuple_a, tuple_b, domain):
     """Rows of the (m n^2) x n^2 system in the unknown vec(C), row-major."""
+    if (tuple_a.n, tuple_a.m, tuple_a.domain) != (tuple_b.n, tuple_b.m, tuple_b.domain):
+        raise DomainError("tuples must share size, length and domain")
     n = tuple_a.n
     zero = domain.zero()
     rows = []
@@ -132,11 +134,15 @@ def intertwiners(tuple_a, tuple_b) -> IntertwinerSpace:
     Over a field: a kernel basis.  Over Z: a primitive (saturated) integer
     basis of the rational kernel.
     """
-    if (tuple_a.n, tuple_a.m, tuple_a.domain) != (tuple_b.n, tuple_b.m, tuple_b.domain):
-        raise DomainError("tuples must share size, length and domain")
+    return _kernel_space(_stacked_rows(tuple_a, tuple_b, tuple_a.domain),
+                         tuple_a, tuple_b)
+
+
+def _kernel_space(rows, tuple_a, tuple_b) -> IntertwinerSpace:
+    """intertwiners from the stacked rows of its system; every basis matrix
+    is checked against the equations."""
     n = tuple_a.n
     domain = tuple_a.domain
-    rows = _stacked_rows(tuple_a, tuple_b, domain)
     if domain.is_field:
         vecs = kernel_basis(rows, domain, ncols=n * n)
     elif domain == ZZ:
@@ -228,12 +234,14 @@ def simultaneously_conjugate(tuple_a, tuple_b) -> Optional[Mat]:
     return _witness(tuple_a, tuple_b, intertwiners(tuple_a, tuple_b))
 
 
-def _modp_verdict(tuple_a, tuple_b, p: int) -> PrimeVerdict:
+def _modp_verdict(tuple_a, tuple_b, rows, p: int) -> PrimeVerdict:
+    """The verdict at p of two integer tuples whose stacked integer system
+    is rows: its mod-p system is rows reduced entrywise."""
     from .generation import mat_tuple
 
     a_p = mat_tuple([reduce_mod(a, p) for a in tuple_a.mats])
     b_p = mat_tuple([reduce_mod(b, p) for b in tuple_b.mats])
-    space = intertwiners(a_p, b_p)
+    space = _kernel_space([[x % p for x in row] for row in rows], a_p, b_p)
     w = _witness(a_p, b_p, space)
     return PrimeVerdict(p, space.dim, w is not None, w)
 
@@ -264,8 +272,12 @@ def nonconjugate_all_primes(tuple_a, tuple_b) -> NonConjCertificate:
 
 
 def _certificate(tuple_a, tuple_b) -> NonConjCertificate:
-    """nonconjugate_all_primes without its n >= 3 precondition check."""
-    space = intertwiners(tuple_a, tuple_b)
+    """nonconjugate_all_primes without its n >= 3 precondition check.
+
+    The stacked integer system is built once: the integer kernel, the SNF
+    and every mod-p kernel are taken from its rows."""
+    rows = _stacked_rows(tuple_a, tuple_b, ZZ)
+    space = _kernel_space(rows, tuple_a, tuple_b)
     dim = space.dim
     points = list(_form_points(space.basis))
     dets = tuple(d for _, d in points[:dim])
@@ -274,10 +286,10 @@ def _certificate(tuple_a, tuple_b) -> NonConjCertificate:
                   for (i, j), (_, d) in zip(pairs, points[dim:]))
     vanishes = all(d == 0 for _, d in points)
 
-    rows = _stacked_rows(tuple_a, tuple_b, ZZ)
     exceptional = sorted({2}.union(*(_prime_factors(abs(d)) for d in snf(rows))))
 
-    verdicts = {p: _modp_verdict(tuple_a, tuple_b, p) for p in exceptional}
+    verdicts = {p: _modp_verdict(tuple_a, tuple_b, rows, p)
+                for p in exceptional}
     witness = None
     if vanishes:
         for p in exceptional:
@@ -291,7 +303,7 @@ def _certificate(tuple_a, tuple_b) -> NonConjCertificate:
         overall = False
         bound = next(abs(d) for _, d in points if d != 0)
         for p in filter(is_prime, itertools.count(2)):
-            v = verdicts.get(p) or _modp_verdict(tuple_a, tuple_b, p)
+            v = verdicts.get(p) or _modp_verdict(tuple_a, tuple_b, rows, p)
             verdicts.setdefault(p, v)
             if v.invertible_found:
                 witness = (p, v.witness)

@@ -246,38 +246,10 @@ def nc_eval(poly: dict, X: Mat, Y: Mat):
     return acc
 
 
-def nc_subst_y(poly: dict, c) -> dict:
-    """Substitute y -> c*x + y, expanding words; coefficients stay exact."""
-    out = {}
-    for word, coeff in poly.items():
-        expanded = {"": coeff}
-        for letter in word:
-            nxt = {}
-            if letter == "x":
-                for w, co in expanded.items():
-                    nxt[w + "x"] = nxt.get(w + "x", 0) + co
-            else:
-                for w, co in expanded.items():
-                    nxt[w + "x"] = nxt.get(w + "x", 0) + co * c
-                    nxt[w + "y"] = nxt.get(w + "y", 0) + co
-            expanded = nxt
-        for w, co in expanded.items():
-            out[w] = out.get(w, 0) + co
-    return {w: co for w, co in out.items() if co != 0}
-
-
 def check_relations(n: int, domain) -> bool:
     """All defining relations vanish at the standard pair."""
     X, Y = standard_xy(n, domain)
     return all(is_zero_mat(nc_eval(poly, X, Y))
-               for _, poly in relation_set(n).relations)
-
-
-def check_relations_shifted(n: int, domain, a) -> bool:
-    """The relations of the shifted ideal vanish at the pair (X, aX + Y)."""
-    X, Y = standard_xy(n, domain)
-    aX_plus_Y = madd(smul(domain.convert(a), X), Y)
-    return all(is_zero_mat(nc_eval(nc_subst_y(poly, -a), X, aX_plus_Y))
                for _, poly in relation_set(n).relations)
 
 
@@ -355,14 +327,6 @@ def table16() -> GeneratorFamily:
         raise InvariantError("embedded 16-pair table failed its generation check")
     _check_fixture("gen16_pairs.json", GEN16_FIXTURE_SHA256)
     return fam
-
-
-@lru_cache(maxsize=None)
-def table_conj_classes():
-    """The four nontrivial conjugacy classes of M_2(F_2) under PGL_2(F_2),
-    with the eigenvalue annotations valid over every prime field."""
-    _check_fixture("conj_classes_f2.json", CONJ_FIXTURE_SHA256)
-    return CONJ_CLASSES
 
 
 def _fixture_text(name: str) -> str:

@@ -16,8 +16,8 @@ from . import conjugacy
 from .domains import QQ, DomainError, InvariantError, quadratic_extension
 from .linalg import (
     ALL_LINES,
-    Echelon,
     Mat,
+    _row_ops,
     commutator,
     det,
     identity,
@@ -110,10 +110,6 @@ def _element_vector(elem) -> tuple:
     for a in elem:
         out.extend(vectorize(a))
     return tuple(out)
-
-
-def _element_mul(x, y) -> tuple:
-    return tuple(mmul(a, b) for a, b in zip(x, y))
 
 
 def _validate_elements(S, shape: DirectSumShape, field):
@@ -288,18 +284,68 @@ def _spin_up_q(S, sizes, include_identity: bool) -> int:
                     [blocks for _, blocks in scaled], insert, times, d)
 
 
-def _echelon_closure(S, sizes, field, include_identity: bool) -> int:
-    """Dimension of the span closure over F_{p^k}: the spin-up on Mat
-    tuples, with an Echelon for the span."""
-    span = Echelon(field)
+def _spin_up_fq(S, sizes, field, include_identity: bool) -> int:
+    """Dimension of the span closure over F_{p^k}, by a spin-up on flat
+    lists of element ints.
 
-    def insert(elem):
-        return elem if span.insert(_element_vector(elem)) else None
+    The basis is semi-echelon: a list of (pivot, tail), where the row is
+    zero before its pivot, 1 at it and zero at the pivots of the rows
+    before it, and tail is the row from the pivot on.  One pass in
+    insertion order reduces a vector: at each pivot where it holds c, its
+    part from the pivot on drops by c tail.  A generator g is prepared once
+    as its copies' negated rows, so block row i of a product u g, the sum
+    over s of u_is times row s of g, is built by subtracting u_is times
+    negated row s, skipping the zero u_is.  The arithmetic is
+    linalg._row_ops': lookups in the flat ExtField tables up to TABLE_MAX,
+    the field's methods above.  An entry that is not an int in [0, q) is
+    refused, since a table lookup would read a wrong cell.
+    """
+    q = field.q
+    sub_mul, scale, inv = _row_ops(field)
+    basis = []
 
-    identity_elem = (tuple(identity(field, n) for n in sizes)
-                     if include_identity else None)
-    return _spin_up(identity_elem, S, S, insert, _element_mul,
-                    sum(n * n for n in sizes))
+    def flat(elem):
+        vec = list(_element_vector(elem))
+        for x in vec:
+            if type(x) is not int or not 0 <= x < q:
+                raise DomainError(f"{x!r} is not an element of {field!r}")
+        return vec
+
+    def insert(v):
+        """Reduce v in place; if it is independent, add its row and return
+        the row, normalised to 1 at its pivot."""
+        for j, tail in basis:
+            c = v[j]
+            if c:
+                v[j:] = sub_mul(v[j:], c, tail)
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is None:
+            return None
+        v = scale(inv(v[piv]), v)
+        basis.append((piv, v[piv:]))
+        return v
+
+    def negated_rows(elem):
+        return [(n, [[field.neg(x) for x in row] for row in a.rows], [0] * n)
+                for a, n in zip(elem, sizes)]
+
+    def times(u, blocks):
+        out, offset = [], 0
+        for n, rows, zero in blocks:
+            for i in range(offset, offset + n * n, n):
+                acc = zero
+                for c, row in zip(u[i:i + n], rows):
+                    if c:
+                        acc = sub_mul(acc, c, row)
+                out.extend(acc)
+            offset += n * n
+        return out
+
+    seeds = [flat(elem) for elem in S]  # checked before any lookup
+    identity_vec = (flat(tuple(identity(field, n) for n in sizes))
+                    if include_identity else None)
+    return _spin_up(identity_vec, seeds, [negated_rows(g) for g in S],
+                    insert, times, sum(n * n for n in sizes))
 
 
 def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
@@ -329,8 +375,8 @@ def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
     identity is left as it is.  A word in the scaled elements is a nonzero
     multiple of the same word in S, so the Q-span of the words, and with it
     the dimension, is unchanged.  Every row is then an exact integer
-    vector, with no modulus and no bound on its entries.  Over F_{p^k} the
-    elements are Mat tuples and the span an Echelon (_echelon_closure).
+    vector, with no modulus and no bound on its entries.  Over F_{p^k} it is
+    a spin-up on flat lists of element ints (_spin_up_fq).
     """
     S = [tuple(elem) for elem in S]
     if field is None:
@@ -346,7 +392,7 @@ def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
     elif field.kind == "rationals":
         dim = _spin_up_q(S, shape.copy_sizes, include_identity)
     else:
-        dim = _echelon_closure(S, shape.copy_sizes, field, include_identity)
+        dim = _spin_up_fq(S, shape.copy_sizes, field, include_identity)
     ok = dim == ambient
     return GenReport(
         verdict=ok,

@@ -173,10 +173,11 @@ def det_rows(rows, d):
 
 
 def _row_ops(f):
-    """(sub_mul, scale, inv) for echelon rows over the field f, where
+    """(sub_mul, scale, inv) for rows over the field f, where
     sub_mul(v, c, row) is v - c row and scale(c, row) is c row: int
     arithmetic mod p over F_p, lookups in the flat tables of an ExtField
-    that has them, the domain methods over every other field."""
+    that has them, the domain methods over every other field.  Echelon
+    and the F_{p^k} span closure (generation._spin_up_fq) run on them."""
     if f.kind == "prime_field":
         p = f.p
 

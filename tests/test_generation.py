@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matgen.domains import QQ, ZZ, PrimeField, field_of_order
+from matgen.domains import (
+    QQ,
+    TABLE_MAX,
+    ZZ,
+    DomainError,
+    PrimeField,
+    field_of_order,
+)
 from matgen.generation import (
     ClosureDeficient,
     ConjugatePair,
@@ -177,17 +184,20 @@ def echelon_closure(S, shape, include_identity, field):
 
 
 @st.composite
-def _fp_closure_case(draw, p):
-    """(S, shape, include_identity) over F_p: one to three blocks with
-    n <= 4, up to three elements.  Components of equal size within an
-    element may repeat and matrices may be triangular, so that deficient
-    closures occur; entries favour 0, 1 and p - 1, the largest slot load."""
-    field = PrimeField(p)
+def _finite_closure_case(draw, field, max_dim=40):
+    """(S, shape, include_identity) over a finite field: one to three
+    blocks with n <= 4 and at most max_dim dimensions, up to three
+    elements.  Components of equal size within an element may repeat and
+    matrices may be triangular, so that deficient closures occur; entries
+    favour 0, 1 and -1, which is the int p - 1 in every field and the
+    largest slot load over F_p."""
+    q, minus_one = field.size, field.neg(1)
     blocks = draw(st.lists(st.tuples(st.integers(2, 4), st.integers(1, 2)),
                            min_size=1, max_size=3)
-                  .filter(lambda b: sum(m * n * n for n, m in b) <= 40))
+                  .filter(lambda b: sum(m * n * n for n, m in b) <= max_dim))
     shape = DirectSumShape(tuple(blocks))
-    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    entry = st.one_of(st.sampled_from([0, 1, minus_one]),
+                      st.integers(0, q - 1))
     rare = st.sampled_from([False, False, False, True])
     repeat, triangular = draw(rare), draw(rare)
     S = []
@@ -207,11 +217,42 @@ def _fp_closure_case(draw, p):
 @given(data=st.data())
 def test_packed_fp_closure_matches_echelon_reference(data):
     p = data.draw(st.sampled_from([2, 3, 5, 7, 31, 2**61 - 1]))
-    S, shape, include_identity = data.draw(_fp_closure_case(p))
     field = PrimeField(p)
+    S, shape, include_identity = data.draw(_finite_closure_case(field))
     rep = closure_generates(S, shape, include_identity, field)
     want = echelon_closure(S, shape, include_identity, field)
     assert (rep.verdict, rep.closure_dim) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_packed_fq_closure_matches_echelon_reference(data):
+    # the flat rows index the ExtField tables up to F_49 and call the
+    # field's methods at F_81 and F_125, where the Mat reference is slow
+    # enough to cap the dimension; F_32 and F_64 need degrees above
+    # build_ext_field's cap of 4
+    q = data.draw(st.sampled_from([4, 8, 9, 16, 25, 27, 49, 81, 125]))
+    field = field_of_order(q)
+    S, shape, include_identity = data.draw(
+        _finite_closure_case(field, 40 if q <= TABLE_MAX else 20))
+    rep = closure_generates(S, shape, include_identity, field)
+    want = echelon_closure(S, shape, include_identity, field)
+    assert (rep.verdict, rep.closure_dim) == want
+
+
+@pytest.mark.parametrize("q", [9, 81])
+def test_closure_refuses_non_canonical_fq_entries(q):
+    # F_9 is table-driven and F_81 is not; over F_9 the entries 9 and 10
+    # would read wrong table cells without any error
+    field = field_of_order(q)
+    good = mat(field, [[0, 1], [1, 1]])
+    for bad in (q, q + 1, -1, 1.0, True, None):
+        elem = Mat(field, 2, ((bad, 0), (0, 1)))
+        for S in ([(elem,)], [(good,), (elem,)]):
+            with pytest.raises(DomainError):
+                closure_generates(S, shape_of(2), field=field)
+        with pytest.raises(DomainError):
+            closure_generates([(good, elem)], shape_of(2, 2), field=field)
 
 
 def test_packed_fp_closure_at_a_127_bit_prime():

@@ -1,16 +1,21 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from matgen.construct import TABLE16_PAIRS, standard_xy, table16
 from matgen.domains import QQ, ZZ, DomainError
-from matgen.generation import det_commutator_generates, lattice_generates_MnZ
+from matgen.generation import (
+    DirectSumShape,
+    det_commutator_generates,
+    lattice_generates_MnZ,
+)
 from matgen.linalg import identity, madd, mat, mmul, smul, unit_mat
 from matgen.zverify import (
+    closure_mod_p,
     local_global_generator_count,
-    scaled_set_counterexample,
     verify_z_tuples,
     z_generates,
 )
@@ -101,6 +106,36 @@ def test_det_and_lattice_agree_on_table_pairs():
     for a, b in zip(*fam.generators):
         assert det_commutator_generates(a, b)
         assert lattice_generates_MnZ([a, b], 2)[0]
+
+
+@dataclass(frozen=True)
+class ScaledSetRecord:
+    p0: int
+    scaled_dims: tuple    # (p, closure_dim, ok)
+    unscaled_dims: tuple
+    claims_hold: bool
+
+
+def scaled_set_counterexample(p0: int) -> ScaledSetRecord:
+    """No prime may be omitted: p0 * {X, Y} fails mod p0 and only there."""
+    X, Y = standard_xy(2, ZZ)
+    scaled = [smul(p0, X), smul(p0, Y)]
+    plain = [X, Y]
+    shape = DirectSumShape(((2, 1),))
+    test_primes = sorted({2, 3, 5, 7, p0})
+
+    def dims(mats):
+        out = []
+        for p in test_primes:
+            rep = closure_mod_p([(a,) for a in mats], shape, p)
+            out.append((p, rep.closure_dim, rep.verdict))
+        return tuple(out)
+
+    scaled_dims = dims(scaled)
+    unscaled_dims = dims(plain)
+    ok = all((p != p0) == good for p, _, good in scaled_dims)
+    ok &= all(good for _, _, good in unscaled_dims)
+    return ScaledSetRecord(p0, scaled_dims, unscaled_dims, ok)
 
 
 def test_scaled_set_counterexamples():
