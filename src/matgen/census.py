@@ -45,8 +45,9 @@ TUPLES_PER_WORKER = 2**15
 @lru_cache(maxsize=None)
 def _tables(q: int):
     """(add, sub, mul, inv) of field_of_order(q) as nested tuples indexed by
-    elements; inv[0] is None.  The loops below index these: calling the
-    field's methods there made the PGL permutations 1.5 times slower."""
+    elements; inv[0] is None.  The subalgebra catalog's loops index these
+    rather than call the field's methods, and _field_arrays flattens them
+    into the numpy tables of the census kernels."""
     F = field_of_order(q)
 
     def table(op):
@@ -60,17 +61,6 @@ def _tables(q: int):
 def _all_mats(q: int, n: int):
     """All n x n matrices over F_q as entry tuples, in lexicographic order."""
     return tuple(itertools.product(range(q), repeat=n * n))
-
-
-def _matmul(x, y, n, add, mul):
-    out = []
-    for i in range(n):
-        for j in range(n):
-            acc = mul[x[i * n]][y[j]]
-            for k in range(1, n):
-                acc = add[acc][mul[x[i * n + k]][y[k * n + j]]]
-            out.append(acc)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -384,41 +374,34 @@ def _count_worker(args):
 # orbits
 
 
-def _inv_small(x, n, F):
-    aug = [list(x[i * n:(i + 1) * n]) + [1 if j == i else 0 for j in range(n)]
-           for i in range(n)]
-    basis, r = rref(aug, F)
-    if r < n:
-        raise ZeroDivisionError("singular matrix")
-    return tuple(basis[i][n + j] for i in range(n) for j in range(n))
-
-
 @lru_cache(maxsize=None)
 def _pgl_conj_perms(q: int, n: int):
-    """Permutations of matrix ids induced by PGL conjugation M -> g^-1 M g."""
+    """Permutations of matrix ids induced by PGL conjugation M -> g^-1 M g:
+    a read-only int64 array with one row per representative g, the
+    invertible matrices whose first nonzero entry is 1, in id order.
+
+    With L and R the id maps of M -> g M and M -> M g, both formed by
+    _products over every matrix, the id of g^-1 M g is L^-1[R[id M]]."""
+    import numpy as np
+
     F = field_of_order(q)
-    add, _, mul, inv = _tables(q)
-    mats = _all_mats(q, n)
-    index = {mm: i for i, mm in enumerate(mats)}
-    reps = {}
-    for mm in mats:
-        if det_rows([mm[i * n:(i + 1) * n] for i in range(n)], F) == 0:
-            continue
-        lead = next(c for c in mm if c)
-        canon = tuple(mul[inv[lead]][c] for c in mm)
-        if canon not in reps:
-            reps[canon] = mm
-    perms = []
-    for g in reps:
-        gi = _inv_small(g, n, F)
-        perm = [0] * len(mats)
-        for i, mm in enumerate(mats):
-            conj = _matmul(_matmul(gi, mm, n, add, mul), g, n, add, mul)
-            perm[i] = index[conj]
-        perms.append(tuple(perm))
-    if len(perms) != pgl_order(q, n):
+    shift, add, _, mul, _ = _field_arrays(q)
+    d = n * n
+    N = q ** d
+    mats = _digits(np.arange(N, dtype=np.int64), q, d, add.dtype)  # (d, N)
+    lead = mats[(mats != 0).argmax(0), np.arange(N)]
+    entries = mats.T.tolist()
+    reps = [i for i in np.flatnonzero(lead == 1).tolist()
+            if det_rows([entries[i][r:r + n] for r in range(0, d, n)], F) != 0]
+    if len(reps) != pgl_order(q, n):
         raise InvariantError("PGL permutation count disagrees with its order; bug")
-    return tuple(perms)
+    w = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    g, every = mats[:, reps, None], mats[:, :, None]
+    left = (w @ _products(g, every, n, shift, add, mul)[..., 0]).reshape(-1, N)
+    right = (w @ _products(every, g, n, shift, add, mul)[..., 0]).reshape(N, -1)
+    perms = np.take_along_axis(np.argsort(left, 1), right.T, 1)
+    perms.flags.writeable = False
+    return perms
 
 
 def orbit_count(q: int, n: int, m: int) -> int:
@@ -439,7 +422,7 @@ def orbit_count(q: int, n: int, m: int) -> int:
                           f"exceeds cap {CENSUS_CAP}")
     import numpy as np
 
-    perms = np.array(_pgl_conj_perms(q, n), np.int64)
+    perms = _pgl_conj_perms(q, n)
     w = (q ** (n * n)) ** np.arange(m - 1, -1, -1, dtype=np.int64)
     canonical = generating = 0
     for comps, ok in _block_verdicts(q, n, m, 0, ambient):

@@ -16,6 +16,7 @@ from . import conjugacy
 from .domains import QQ, DomainError, InvariantError, quadratic_extension
 from .linalg import (
     ALL_LINES,
+    Echelon,
     Mat,
     _row_ops,
     commutator,
@@ -113,7 +114,11 @@ def _element_vector(elem) -> tuple:
 
 
 def _validate_elements(S, shape: DirectSumShape, field):
+    """Refuse an element that does not match the shape or the field.  Over
+    a finite field an entry that is not an int in [0, q) is refused: the
+    packed slots and the table lookups would read it as a wrong element."""
     sizes = shape.copy_sizes
+    q = field.size if field.char else None
     for elem in S:
         if len(elem) != len(sizes):
             raise DomainError("element does not match the shape")
@@ -122,6 +127,12 @@ def _validate_elements(S, shape: DirectSumShape, field):
                 raise DomainError("component size does not match the shape")
             if a.domain != field:
                 raise DomainError("mixed domains in one generating set")
+            if q is None:
+                continue
+            for row in a.rows:
+                for x in row:
+                    if type(x) is not int or not 0 <= x < q:
+                        raise DomainError(f"{x!r} is not an element of {field!r}")
 
 
 def _spin_up(identity, seeds, gens, insert, times, d: int) -> int:
@@ -197,12 +208,12 @@ def _spin_up_fp(S, sizes, field, include_identity: bool) -> int:
         return u
 
     def pack(elem):
-        return sum((x % p) << s for x, s in zip(_element_vector(elem), shifts))
+        return sum(x << s for x, s in zip(_element_vector(elem), shifts))
 
     def right_rows(elem):
         rows, offset = [], 0
         for a, n in zip(elem, sizes):
-            packed = [sum((x % p) << (k * w) for k, x in enumerate(row))
+            packed = [sum(x << (k * w) for k, x in enumerate(row))
                       for row in a.rows]
             # E_{ik} g has row i equal to row k of g
             rows.extend(packed[k] << (offset + i * n) * w
@@ -286,44 +297,15 @@ def _spin_up_q(S, sizes, include_identity: bool) -> int:
 
 def _spin_up_fq(S, sizes, field, include_identity: bool) -> int:
     """Dimension of the span closure over F_{p^k}, by a spin-up on flat
-    lists of element ints.
+    lists of element ints into a linalg.Echelon, the semi-echelon basis.
 
-    The basis is semi-echelon: a list of (pivot, tail), where the row is
-    zero before its pivot, 1 at it and zero at the pivots of the rows
-    before it, and tail is the row from the pivot on.  One pass in
-    insertion order reduces a vector: at each pivot where it holds c, its
-    part from the pivot on drops by c tail.  A generator g is prepared once
-    as its copies' negated rows, so block row i of a product u g, the sum
-    over s of u_is times row s of g, is built by subtracting u_is times
-    negated row s, skipping the zero u_is.  The arithmetic is
-    linalg._row_ops': lookups in the flat ExtField tables up to TABLE_MAX,
-    the field's methods above.  An entry that is not an int in [0, q) is
-    refused, since a table lookup would read a wrong cell.
+    A generator g is prepared once as its copies' negated rows, so block
+    row i of a product u g, the sum over s of u_is times row s of g, is
+    built by subtracting u_is times negated row s, skipping the zero u_is.
+    The arithmetic is linalg._row_ops': lookups in the flat ExtField tables
+    up to TABLE_MAX, the field's methods above.
     """
-    q = field.q
-    sub_mul, scale, inv = _row_ops(field)
-    basis = []
-
-    def flat(elem):
-        vec = list(_element_vector(elem))
-        for x in vec:
-            if type(x) is not int or not 0 <= x < q:
-                raise DomainError(f"{x!r} is not an element of {field!r}")
-        return vec
-
-    def insert(v):
-        """Reduce v in place; if it is independent, add its row and return
-        the row, normalised to 1 at its pivot."""
-        for j, tail in basis:
-            c = v[j]
-            if c:
-                v[j:] = sub_mul(v[j:], c, tail)
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is None:
-            return None
-        v = scale(inv(v[piv]), v)
-        basis.append((piv, v[piv:]))
-        return v
+    sub_mul = _row_ops(field)[0]
 
     def negated_rows(elem):
         return [(n, [[field.neg(x) for x in row] for row in a.rows], [0] * n)
@@ -341,11 +323,11 @@ def _spin_up_fq(S, sizes, field, include_identity: bool) -> int:
             offset += n * n
         return out
 
-    seeds = [flat(elem) for elem in S]  # checked before any lookup
-    identity_vec = (flat(tuple(identity(field, n) for n in sizes))
+    identity_vec = (_element_vector(tuple(identity(field, n) for n in sizes))
                     if include_identity else None)
-    return _spin_up(identity_vec, seeds, [negated_rows(g) for g in S],
-                    insert, times, sum(n * n for n in sizes))
+    return _spin_up(identity_vec, map(_element_vector, S),
+                    [negated_rows(g) for g in S], Echelon(field).insert,
+                    times, sum(n * n for n in sizes))
 
 
 def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
@@ -376,7 +358,8 @@ def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
     multiple of the same word in S, so the Q-span of the words, and with it
     the dimension, is unchanged.  Every row is then an exact integer
     vector, with no modulus and no bound on its entries.  Over F_{p^k} it is
-    a spin-up on flat lists of element ints (_spin_up_fq).
+    a spin-up on flat lists of element ints (_spin_up_fq).  Over a finite
+    field an entry that is not an int in [0, q) raises DomainError.
     """
     S = [tuple(elem) for elem in S]
     if field is None:

@@ -211,41 +211,59 @@ def _row_ops(f):
 
 
 class Echelon:
-    """Incremental reduced row echelon form of a span over a field.
+    """Incremental semi-echelon basis of a span over a field (Parker's
+    MeatAxe).
 
-    rows maps each pivot column to its row, which is 1 at that column and 0
-    at every other pivot column.
+    basis lists (pivot, tail) in insertion order: the row is zero before its
+    pivot, 1 at it and zero at the pivots of the rows before it, and tail is
+    the row from the pivot on.  One pass in insertion order reduces a
+    vector: at each pivot where it holds c, its part from the pivot on drops
+    by c tail.  Entries are canonical, so zero is the only falsy one and the
+    loops test them directly; field.is_zero would show in the F_{p^k} span
+    closures.  reduced() back-substitutes to the reduced row echelon form.
     """
 
     def __init__(self, field):
         self.field = field
-        self.rows = {}
+        self.basis = []
         self._ops = _row_ops(field)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.basis)
 
-    def insert(self, vec) -> bool:
-        """Reduce vec against the span; add it if independent."""
-        is_zero = self.field.is_zero
+    def insert(self, vec):
+        """Reduce vec against the span; if it is independent, add its row
+        and return the row, normalised to 1 at its pivot, else None."""
         sub_mul, scale, inv = self._ops
-        rows = self.rows
         v = list(vec)
-        for col, row in rows.items():
-            c = v[col]
-            if not is_zero(c):
-                v = sub_mul(v, c, row)
-        piv = next((j for j, x in enumerate(v) if not is_zero(x)), None)
+        for j, tail in self.basis:
+            c = v[j]
+            if c:
+                v[j:] = sub_mul(v[j:], c, tail)
+        piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
-            return False
-        norm = scale(inv(v[piv]), v)
-        for col, other in rows.items():
-            c = other[piv]
-            if not is_zero(c):
-                rows[col] = sub_mul(other, c, norm)
-        rows[piv] = norm
-        return True
+            return None
+        v = scale(inv(v[piv]), v)
+        self.basis.append((piv, v[piv:]))
+        return v
+
+    def reduced(self):
+        """(pivot, row) for each row of the span's reduced row echelon form,
+        sorted by pivot.  Back-substitution runs from the last pivot up:
+        each row is cleared at the later pivots, whose rows are already
+        reduced and so zero at every other pivot."""
+        sub_mul = self._ops[0]
+        done = []
+        for piv, tail in sorted(self.basis, reverse=True):  # distinct pivots
+            tail = list(tail)
+            for j, other in done:
+                c = tail[j - piv]
+                if c:
+                    tail[j - piv:] = sub_mul(tail[j - piv:], c, other)
+            done.append((piv, tail))
+        zero = self.field.zero()
+        return [(piv, (zero,) * piv + tuple(tail)) for piv, tail in reversed(done)]
 
 
 def _echelon(rows, field) -> Echelon:
@@ -268,8 +286,8 @@ def rref(rows, field):
     """
     if not rows:
         return [], 0
-    ech = _echelon(rows, field)
-    return [tuple(ech.rows[col]) for col in sorted(ech.rows)], ech.dim
+    reduced = _echelon(rows, field).reduced()
+    return [row for _, row in reduced], len(reduced)
 
 
 def kernel_basis(rows, field, ncols: Optional[int] = None):
@@ -280,16 +298,16 @@ def kernel_basis(rows, field, ncols: Optional[int] = None):
         one, zero = field.one(), field.zero()
         return [tuple(one if i == j else zero for j in range(ncols))
                 for i in range(ncols)]
-    ech = _echelon(rows, field)
+    reduced = dict(_echelon(rows, field).reduced())
     c = len(rows[0])
     out = []
     one, zero = field.one(), field.zero()
     for f in range(c):
-        if f in ech.rows:
+        if f in reduced:
             continue
         v = [zero] * c
         v[f] = one
-        for pj, row in ech.rows.items():
+        for pj, row in reduced.items():
             v[pj] = field.neg(row[f])
         out.append(tuple(v))
     return out
@@ -581,5 +599,4 @@ def subspace_intersection(basis_u, basis_w, field):
         ech.insert(tuple(u) + tuple(u))
     for w in basis_w:
         ech.insert(tuple(w) + zeros)
-    return [tuple(ech.rows[col][width:]) for col in sorted(ech.rows)
-            if col >= width]
+    return [row[width:] for col, row in ech.reduced() if col >= width]

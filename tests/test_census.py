@@ -35,7 +35,7 @@ from matgen.census import (
 from matgen import census
 from matgen.domains import DomainError, InvariantError, field_of_order
 from matgen.generation import closure_generates, shape_of
-from matgen.linalg import Mat
+from matgen.linalg import Mat, det_rows, rref
 
 
 # --- group orders and closed formulas ----------------------------------------
@@ -401,6 +401,59 @@ def _complement_reference(q, m):
             acc &= x
         nongen += acc != 0
     return q ** (4 * m) - nongen
+
+
+def _pgl_conj_perms_reference(q, n):
+    """The PGL permutation table one matrix at a time: g^-1 from an RREF,
+    two products of entry tuples and a dict from matrices to ids."""
+    F = field_of_order(q)
+    add, _, mul, inv = census._tables(q)
+
+    def matmul(x, y):
+        out = []
+        for i in range(n):
+            for j in range(n):
+                acc = mul[x[i * n]][y[j]]
+                for k in range(1, n):
+                    acc = add[acc][mul[x[i * n + k]][y[k * n + j]]]
+                out.append(acc)
+        return tuple(out)
+
+    def inverse(x):
+        aug = [list(x[i * n:(i + 1) * n]) + [int(j == i) for j in range(n)]
+               for i in range(n)]
+        basis, r = rref(aug, F)
+        assert r == n
+        return tuple(basis[i][n + j] for i in range(n) for j in range(n))
+
+    mats = census._all_mats(q, n)
+    index = {mm: i for i, mm in enumerate(mats)}
+    reps = {}
+    for mm in mats:
+        if det_rows([mm[i * n:(i + 1) * n] for i in range(n)], F) == 0:
+            continue
+        lead = next(c for c in mm if c)
+        reps.setdefault(tuple(mul[inv[lead]][c] for c in mm), mm)
+    perms = []
+    for g in reps:
+        gi = inverse(g)
+        perms.append(tuple(index[matmul(matmul(gi, mm), g)] for mm in mats))
+    return tuple(perms)
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3)])
+def test_pgl_conj_perms_match_per_matrix_reference(q, n):
+    perms = census._pgl_conj_perms(q, n)
+    assert perms.dtype == np.int64 and not perms.flags.writeable
+    assert [tuple(row) for row in perms.tolist()] == \
+        list(_pgl_conj_perms_reference(q, n))
+
+
+def test_pgl_conj_perms_at_7_are_permutations():
+    perms = census._pgl_conj_perms(7, 2)
+    assert perms.shape == (pgl_order(7, 2), 7**4)
+    assert (np.sort(perms, 1) == np.arange(7**4)).all()
+    assert (perms == np.arange(7**4)).all(1).sum() == 1
 
 
 def _orbit_reference(q, n, m):

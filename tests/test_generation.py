@@ -240,10 +240,11 @@ def test_packed_fq_closure_matches_echelon_reference(data):
     assert (rep.verdict, rep.closure_dim) == want
 
 
-@pytest.mark.parametrize("q", [9, 81])
+@pytest.mark.parametrize("q", [5, 9, 81])
 def test_closure_refuses_non_canonical_fq_entries(q):
     # F_9 is table-driven and F_81 is not; over F_9 the entries 9 and 10
-    # would read wrong table cells without any error
+    # would read wrong table cells without any error, and over F_5 the
+    # packed slots would read 5 and 6 as 0 and 1
     field = field_of_order(q)
     good = mat(field, [[0, 1], [1, 1]])
     for bad in (q, q + 1, -1, 1.0, True, None):

@@ -106,6 +106,38 @@ def test_rref_is_reduced_and_spans_the_input(q):
         assert len(span) == q ** rank
 
 
+@pytest.mark.parametrize("q", [5, 9, 81, "Q"])
+def test_rref_is_independent_of_row_order(q):
+    # rows are reduced in insertion order and back-substituted once, so a
+    # row that comes later with an earlier pivot is the case to cover
+    field = QQ if q == "Q" else field_of_order(q)
+    if field is QQ:
+        elems = [Fraction(x, y) for x in range(-3, 4) for y in (1, 2, 3)]
+    else:
+        elems = list(field.elements())
+    rng = random.Random(f"rref-order-{q}")
+    descending = 0
+    for _ in range(40):
+        c = rng.randint(1, 6)
+        rows = []
+        for lead in sorted((rng.randrange(c) for _ in range(rng.randint(1, 6))),
+                           reverse=rng.random() < 0.5):
+            rows.append(tuple(field.zero() if j < lead else rng.choice(elems)
+                              for j in range(c)))
+        if rng.random() < 0.3:  # a dependent row
+            a = rng.choice(elems)
+            rows.append(tuple(field.add(x, field.mul(a, y))
+                              for x, y in zip(rows[0], rows[-1])))
+        leads = [next((j for j, x in enumerate(row) if x), c) for row in rows]
+        descending += any(b < a for a, b in zip(leads, leads[1:]))
+        want = rref(rows, field)
+        assert rref(rows[::-1], field) == want
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert rref(shuffled, field) == want
+    assert descending >= 10
+
+
 def test_kernel_examples():
     assert len(kernel_basis([(0, 0), (0, 0)], F3)) == 2
     assert kernel_basis([(1, 0), (0, 1)], F3) == []
