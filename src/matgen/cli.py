@@ -11,21 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import census, construct, tuplefile, zverify
 from .domains import DomainError, InvariantError, QQ, ZZ, field_of_order
 from .generation import mat_tuple, tuple_criterion_generates, closure_generates
-
-
-@dataclass
-class RunConfig:
-    threads: int = 0  # 0 = machine parallelism
-    output: str = "human"
-
-    def __post_init__(self):
-        self.threads = census.resolve_threads(self.threads)
 
 
 def _parse_domain(text: str):
@@ -39,8 +29,8 @@ def _parse_domain(text: str):
     raise DomainError(f"unknown domain {text!r} (use z, q or f<q>)")
 
 
-def _emit(report: dict, cfg: RunConfig, human_lines) -> None:
-    if cfg.output == "json":
+def _emit(report: dict, args, human_lines) -> None:
+    if args.json:
         report.setdefault("schema_version", 1)
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -48,7 +38,8 @@ def _emit(report: dict, cfg: RunConfig, human_lines) -> None:
             print(line)
 
 
-def _cmd_count(args, cfg: RunConfig) -> int:
+def _cmd_count(args) -> int:
+    threads = census.resolve_threads(args.threads)
     q, n, m, mode = args.q, args.n, args.m, args.mode
     if mode == "formula" and n != 2:
         raise DomainError("the closed formula covers n = 2 only")
@@ -58,7 +49,7 @@ def _cmd_count(args, cfg: RunConfig) -> int:
     lines = []
     values = {}
     if mode in ("brute", "all"):
-        res = census.count_generating_bruteforce(q, n, m, threads=cfg.threads)
+        res = census.count_generating_bruteforce(q, n, m, threads=threads)
         report["brute"] = res.to_json()
         values["brute_count"] = res.generating_count
         values["brute_gen"] = res.gen_value
@@ -81,11 +72,11 @@ def _cmd_count(args, cfg: RunConfig) -> int:
     agree = len(counts) <= 1 and len(gens) <= 1
     report["agree"] = agree
     lines.append("all paths agree" if agree else "PATHS DISAGREE")
-    _emit(report, cfg, lines)
+    _emit(report, args, lines)
     return 0 if agree else 1
 
 
-def _cmd_check(args, cfg: RunConfig) -> int:
+def _cmd_check(args) -> int:
     tf = tuplefile.load_path(args.input)
     domain = tf.domain
     report = {"input": args.input, "coeff": domain.kind}
@@ -105,17 +96,17 @@ def _cmd_check(args, cfg: RunConfig) -> int:
         report["closure"] = {"verdict": rep.verdict,
                              "closure_dim": rep.closure_dim,
                              "ambient_dim": rep.ambient_dim}
-        _emit(report, cfg, [f"generating: {rep.verdict}"])
+        _emit(report, args, [f"generating: {rep.verdict}"])
         return 0 if rep.verdict else 1
     if domain == ZZ:
         verdict = zverify.verify_z_tuples(tf.generators)
         report["verification"] = verdict.to_json()
-        _emit(report, cfg, [f"generating (certified): {verdict.overall}"])
+        _emit(report, args, [f"generating (certified): {verdict.overall}"])
         return 0 if verdict.overall else 1
     raise DomainError(f"cannot check files over {domain!r}")
 
 
-def _cmd_table16(args, cfg: RunConfig) -> int:
+def _cmd_table16(args) -> int:
     fam = construct.table16()
     verdict = zverify.verify_z_tuples(fam.generators)
     report = {"table": "gen16_pairs", "verification": verdict.to_json()}
@@ -131,11 +122,11 @@ def _cmd_table16(args, cfg: RunConfig) -> int:
                     for p, dim, amb, ok in verdict.direct_modp),
         f"overall: {verdict.overall}",
     ]
-    _emit(report, cfg, lines)
+    _emit(report, args, lines)
     return 0 if verdict.overall else 1
 
 
-def _cmd_subalg(args, cfg: RunConfig) -> int:
+def _cmd_subalg(args) -> int:
     cat = census.enumerate_maximal_subalgebras(args.q)
     report = cat.to_json()
     q = args.q
@@ -147,11 +138,11 @@ def _cmd_subalg(args, cfg: RunConfig) -> int:
         f"(= (q^2-q)/2)",
         "  intersection invariants verified on emission",
     ]
-    _emit(report, cfg, lines)
+    _emit(report, args, lines)
     return 0
 
 
-def _cmd_construct(args, cfg: RunConfig) -> int:
+def _cmd_construct(args) -> int:
     recipe = args.recipe
     if recipe == "xy":
         fam = construct.standard_xy_family(args.n, _parse_domain(args.domain))
@@ -195,15 +186,15 @@ def _cmd_construct(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_relations(args, cfg: RunConfig) -> int:
+def _cmd_relations(args) -> int:
     domain = _parse_domain(args.domain)
     ok = construct.check_relations(args.n, domain)
     report = {"n": args.n, "domain": domain.kind, "relations_vanish": ok}
-    _emit(report, cfg, [f"relations vanish at the standard pair: {ok}"])
+    _emit(report, args, [f"relations vanish at the standard pair: {ok}"])
     return 0 if ok else 1
 
 
-def _cmd_bound(args, cfg: RunConfig) -> int:
+def _cmd_bound(args) -> int:
     q, n, m = args.q, args.n, args.m
     bound = census.asymptotic_upper_bound(q, n, m)
     report = {"q": q, "n": n, "m": m,
@@ -224,15 +215,15 @@ def _cmd_bound(args, cfg: RunConfig) -> int:
     lines.append(f"euler product bracket for x=1/{q}: "
                  f"[{float(lo):.9f}, {float(hi):.9f}] "
                  f"(reciprocal < {float(1 / lo):.6f})")
-    _emit(report, cfg, lines)
+    _emit(report, args, lines)
     return 0 if ok else 1
 
 
-def _cmd_minz(args, cfg: RunConfig) -> int:
+def _cmd_minz(args) -> int:
     m = census.min_generators_M2Z(args.k)
     report = {"k": args.k, "min_generators": m,
               "local_global": zverify.local_global_generator_count(args.k).to_json()}
-    _emit(report, cfg, [f"smallest number of generators of M_2(Z)^{args.k}: {m}"])
+    _emit(report, args, [f"smallest number of generators of M_2(Z)^{args.k}: {m}"])
     return 0
 
 
@@ -244,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker processes (default 0: MATGEN_THREADS, "
-                             "else machine parallelism)")
+                        help="count's worker processes (default 0: "
+                             "MATGEN_THREADS, else machine parallelism)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="census of generating m-tuples")
@@ -299,9 +290,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(threads=args.threads,
-                        output="json" if args.json else "human")
-        return args.func(args, cfg)
+        return args.func(args)
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -13,12 +13,13 @@ from operator import mul
 from typing import Sequence
 
 from . import conjugacy
-from .domains import QQ, DomainError, InvariantError, quadratic_extension
+from .domains import QQ, ZZ, DomainError, InvariantError, quadratic_extension
 from .linalg import (
     ALL_LINES,
     Echelon,
     Mat,
     _row_ops,
+    check_entries,
     commutator,
     det,
     identity,
@@ -27,7 +28,6 @@ from .linalg import (
     line_is_invariant,
     mmul,
     quadratic_eigvecs,
-    unvectorize,
     vectorize,
 )
 
@@ -114,11 +114,9 @@ def _element_vector(elem) -> tuple:
 
 
 def _validate_elements(S, shape: DirectSumShape, field):
-    """Refuse an element that does not match the shape or the field.  Over
-    a finite field an entry that is not an int in [0, q) is refused: the
-    packed slots and the table lookups would read it as a wrong element."""
+    """Refuse an element that does not match the shape or the field, and
+    over a finite field an entry that is not an int in [0, q)."""
     sizes = shape.copy_sizes
-    q = field.size if field.char else None
     for elem in S:
         if len(elem) != len(sizes):
             raise DomainError("element does not match the shape")
@@ -127,29 +125,25 @@ def _validate_elements(S, shape: DirectSumShape, field):
                 raise DomainError("component size does not match the shape")
             if a.domain != field:
                 raise DomainError("mixed domains in one generating set")
-            if q is None:
-                continue
-            for row in a.rows:
-                for x in row:
-                    if type(x) is not int or not 0 <= x < q:
-                        raise DomainError(f"{x!r} is not an element of {field!r}")
+            check_entries(a.rows, field)
 
 
-def _spin_up(identity, seeds, gens, insert, times, d: int) -> int:
-    """The level loop of a spin-up, shared by every field: the dimension of
-    the span closure.
+def _spin_up(identity, seeds, gens, insert, times, d) -> int:
+    """The level loop of a spin-up, shared by every span closure: the
+    number of vectors the span took.
 
     insert(v) adds v to the span and returns what the next level
     multiplies (v's new basis row, or v), or None when v lies in the span
     already; times(u, g) is u times the prepared generator g.  The identity
     (None when it is not adjoined) and the seeds go in first; each level
     then multiplies what the level before inserted by every generator on
-    the right, until a level adds nothing or the span reaches dimension d.
+    the right, until a level adds nothing or the span reaches dimension d
+    (None: no dimension stop).  Over a field the count is the dimension.
     """
     dim = 0 if identity is None or insert(identity) is None else 1
     frontier = [u for u in map(insert, seeds) if u is not None]
     dim += len(frontier)
-    while frontier and dim < d:
+    while frontier and dim != d:
         new_frontier = []
         for u in frontier:
             for g in gens:
@@ -230,6 +224,18 @@ def _spin_up_fp(S, sizes, field, include_identity: bool) -> int:
                     insert, times, d)
 
 
+def _int_times(u, blocks):
+    """The integer vector u times a generator prepared as per-copy
+    (n, columns) blocks: each block row of u times its copy's columns."""
+    out, offset = [], 0
+    for n, cols in blocks:
+        for i in range(offset, offset + n * n, n):
+            row = u[i:i + n]
+            out.extend(sum(map(mul, row, col)) for col in cols)
+        offset += n * n
+    return out
+
+
 def _spin_up_q(S, sizes, include_identity: bool) -> int:
     """Dimension of the span closure over Q, by a spin-up on integer rows
     with fraction-free elimination (Bareiss).
@@ -279,20 +285,11 @@ def _spin_up_q(S, sizes, include_identity: bool) -> int:
             blocks.append((a.n, tuple(zip(*rows))))
         return vec, blocks
 
-    def times(u, blocks):
-        out, offset = [], 0
-        for n, cols in blocks:
-            for i in range(offset, offset + n * n, n):
-                row = u[i:i + n]
-                out.extend(sum(map(mul, row, col)) for col in cols)
-            offset += n * n
-        return out
-
     scaled = [scale(elem) for elem in S]
     identity_vec = (scale(tuple(identity(QQ, n) for n in sizes))[0]
                     if include_identity else None)
     return _spin_up(identity_vec, [vec for vec, _ in scaled],
-                    [blocks for _, blocks in scaled], insert, times, d)
+                    [blocks for _, blocks in scaled], insert, _int_times, d)
 
 
 def _spin_up_fq(S, sizes, field, include_identity: bool) -> int:
@@ -348,7 +345,8 @@ def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
     the previous level's new elements, on the right, and the closure stops
     when a level adds nothing.  The new elements may be taken as they were
     inserted or as their reductions against the span found so far: both
-    complete the previous level.
+    complete the previous level.  Only spans enter the argument, so it holds
+    for Z-spans as well (lattice_generates_MnZ).
 
     The field's kind selects the path.  Over F_p the closure is a spin-up on
     packed integer vectors (_spin_up_fp).  Over Q it is a spin-up on integer
@@ -514,13 +512,12 @@ def det_commutator_generates(a: Mat, b: Mat) -> bool:
 def lattice_generates_MnZ(S: Sequence[Mat], n: int):
     """Does S generate M_n(Z) as a ring?  (identity adjoined throughout)
 
-    The ring is the Z-span of the words in S, grown by right products as in
-    closure_generates: each round replaces the lattice L by the HNF of L + L S,
-    formed from every basis row times every element of S, until the basis is
-    unchanged.  Generation means the closure is the full lattice Z^{n^2}.
-    The loop ends because Z^{n^2} is Noetherian: each round that changes the
-    basis either raises the rank or at least halves the index of the lattice
-    in its saturation.
+    The ring is the Z-span of the words in S, grown by the spin-up of
+    closure_generates, whose lemma holds for Z-spans: the lattice, kept as
+    its canonical HNF, takes a vector when its basis changes.  No dimension
+    stops it, as a lattice of full rank can have index > 1; it ends because
+    every vector taken enlarges the lattice and Z^{n^2} is Noetherian.
+    Generation means the closure is the full lattice Z^{n^2}.
     """
     S = list(S)
     for a in S:
@@ -528,17 +525,16 @@ def lattice_generates_MnZ(S: Sequence[Mat], n: int):
             raise DomainError("size mismatch")
         if a.domain.kind != "integers":
             raise DomainError("lattice test requires integer matrices")
-    from .domains import ZZ
+    lattice = lattice_from_rows((), n * n)
 
-    rows = [vectorize(a) for a in S]
-    rows.append(vectorize(identity(ZZ, n)))
-    lattice = lattice_from_rows(rows, n * n)
-    while True:
-        rows = list(lattice.basis)
-        for row in lattice.basis:
-            b = unvectorize(ZZ, n, row)
-            rows.extend(vectorize(mmul(b, s)) for s in S)
-        new_lattice = lattice_from_rows(rows, n * n)
-        if new_lattice.basis == lattice.basis:
-            return lattice.is_full, lattice
-        lattice = new_lattice
+    def insert(v):
+        nonlocal lattice
+        new = lattice_from_rows(lattice.basis + (tuple(v),), n * n)
+        if new.basis == lattice.basis:
+            return None
+        lattice = new
+        return v
+
+    _spin_up(vectorize(identity(ZZ, n)), map(vectorize, S),
+             [[(n, tuple(zip(*a.rows)))] for a in S], insert, _int_times, None)
+    return lattice.is_full, lattice

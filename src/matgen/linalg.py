@@ -266,10 +266,23 @@ class Echelon:
         return [(piv, (zero,) * piv + tuple(tail)) for piv, tail in reversed(done)]
 
 
+def check_entries(rows, field) -> None:
+    """Refuse, over a finite field, an entry that is not an int in [0, q),
+    which the row operations would misread.  Echelon.insert, the hot loop
+    of the F_{p^k} span closure, leaves this check to its callers."""
+    if field.char:
+        q = field.size
+        for row in rows:
+            for x in row:
+                if type(x) is not int or not 0 <= x < q:
+                    raise DomainError(f"{x!r} is not an element of {field!r}")
+
+
 def _echelon(rows, field) -> Echelon:
     ncols = len(rows[0])
     if any(len(row) != ncols for row in rows):
         raise DomainError("ragged rows")
+    check_entries(rows, field)
     ech = Echelon(field)
     for row in rows:
         ech.insert(row)
@@ -590,6 +603,7 @@ def subspace_intersection(basis_u, basis_w, field):
     that are zero on the left half have right halves spanning the
     intersection.
     """
+    check_entries([*basis_u, *basis_w], field)
     if not basis_u or not basis_w:
         return []
     width = len(basis_u[0])

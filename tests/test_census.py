@@ -130,6 +130,8 @@ def test_census_pool_only_for_large_censuses(monkeypatch):
     monkeypatch.setattr(census, "ProcessPoolExecutor", refuse)
     assert count_generating_bruteforce(3, 2, 2, threads=2).generating_count \
         == want
+    assert count_generating_bruteforce(4, 2, 2, threads=2).generating_count \
+        == gen_numerator_2x2(4, 2)
     started = []
 
     def record(*args, **kwargs):
@@ -137,8 +139,8 @@ def test_census_pool_only_for_large_censuses(monkeypatch):
         return pool(*args, **kwargs)
 
     monkeypatch.setattr(census, "ProcessPoolExecutor", record)
-    assert count_generating_bruteforce(4, 2, 2, threads=2).generating_count \
-        == gen_numerator_2x2(4, 2)
+    assert count_generating_bruteforce(5, 2, 2, threads=2).generating_count \
+        == gen_numerator_2x2(5, 2)
     assert started == [2]
 
 

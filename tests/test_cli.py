@@ -433,6 +433,15 @@ def test_threads_env_invalid_exits_two(monkeypatch, capsys, value):
     assert "MATGEN_THREADS" in capsys.readouterr().err
 
 
+def test_commands_without_a_census_ignore_threads_env(monkeypatch, capsys):
+    # only count resolves the worker count
+    monkeypatch.setenv("MATGEN_THREADS", "abc")
+    fixture = Path(matgen.__file__).parent / "fixtures" / "gen16_pairs.json"
+    assert main(["check", "--input", str(fixture)]) == 0
+    assert main(["bound", "--q", "2", "--m", "2"]) == 0
+    assert "MATGEN_THREADS" not in capsys.readouterr().err
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # numpy is imported by the census kernel and the GL_2 sweep when they run
     env = dict(os.environ, PYTHONPATH=str(Path(matgen.__file__).parents[1]))

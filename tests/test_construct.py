@@ -1,8 +1,10 @@
 import itertools
+import sys
 
 import pytest
 
 from matgen import construct as construct_mod
+from matgen import generation
 from matgen.census import gen_value_2x2
 from matgen.conjugacy import intertwiners, simultaneously_conjugate
 from matgen.construct import (
@@ -68,6 +70,25 @@ def test_standard_family_closure_dims():
     fam = standard_xy_family(3, F2)
     rep = closure_generates(fam.generators, fam.shape)
     assert rep.verdict and rep.closure_dim == 9
+
+
+@pytest.mark.parametrize("domain, name", [
+    (ZZ, "lattice_generates_MnZ"), (F2, "closure_generates")], ids=["Z", "F2"])
+def test_standard_family_is_closed_once(monkeypatch, domain, name):
+    original, calls = getattr(generation, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("matgen"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    fam = standard_xy_family(3, domain)
+    assert len(calls) == 1
+    assert verify_family(fam) and len(calls) == 2
 
 
 # --- gap extensions --------------------------------------------------------------

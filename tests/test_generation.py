@@ -532,7 +532,7 @@ def squaring_lattice_closure(S, n):
         lattice = new_lattice
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_right_product_lattice_matches_squaring_reference(n):
     from matgen.construct import standard_xy
 
@@ -540,10 +540,16 @@ def test_right_product_lattice_matches_squaring_reference(n):
     X, Y = standard_xy(n, ZZ)
     units = [unit_mat(ZZ, n, i, j) for i in range(n) for j in range(n)]
     sets = [[X, Y], [smul(3, X), smul(3, Y)], [smul(2, X), Y], [X, smul(2, Y)],
-            [smul(2, u) for u in units], [units[1]], [units[0], units[-1]], []]
+            [smul(2, u) for u in units], [units[1]], [units[0], units[-1]], [],
+            [smul(2, X), smul(3, Y), units[1]], [units[1], units[-1], smul(2, Y)]]
+
+    def random_mat():
+        return mat(ZZ, [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)])
+
     for _ in range(30 if n == 2 else 10):
-        sets.append([mat(ZZ, [[rng.randrange(-3, 4) for _ in range(n)]
-                              for _ in range(n)]) for _ in range(1 + rng.randrange(2))])
+        sets.append([random_mat() for _ in range(1 + rng.randrange(2))])
+    for _ in range(2 if n == 4 else 4):  # the reference's n = 4 rounds are slow
+        sets.append([random_mat() for _ in range(3)])
     verdicts = set()
     for S in sets:
         ok, lat = lattice_generates_MnZ(S, n)

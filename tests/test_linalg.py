@@ -138,6 +138,30 @@ def test_rref_is_independent_of_row_order(q):
     assert descending >= 10
 
 
+@pytest.mark.parametrize("q", [5, 9, 81])
+def test_echelon_entry_points_refuse_non_canonical_entries(q):
+    # the echelon tests entries with `if c:` and indexes the field's tables:
+    # 5 over F_5 was taken as a nonzero pivot, -1 read as 4, 9 over F_9
+    # indexed past the tables
+    field = field_of_order(q)
+    for bad in (q, q + 1, -1, 1.0, True, None):
+        rows = [(bad, 1)]
+        for call in (lambda: rref(rows, field),
+                     lambda: kernel_basis(rows, field),
+                     lambda: subspace_intersection([(1, 0)], rows, field),
+                     lambda: subspace_intersection(rows, [(1, 0)], field)):
+            with pytest.raises(DomainError):
+                call()
+
+
+def test_rational_rows_pass_the_entry_check():
+    rows = [(Fraction(-1, 2), Fraction(3)), (-1, 6)]
+    assert rref(rows, QQ) == ([(Fraction(1), Fraction(-6))], 1)
+    assert kernel_basis(rows, QQ) == [(Fraction(6), Fraction(1))]
+    assert subspace_intersection(rows, [(Fraction(-2), Fraction(12))], QQ) \
+        == [(Fraction(1), Fraction(-6))]
+
+
 def test_kernel_examples():
     assert len(kernel_basis([(0, 0), (0, 0)], F3)) == 2
     assert kernel_basis([(1, 0), (0, 1)], F3) == []
