@@ -20,7 +20,9 @@ subalgebra membership masks of a block of tuples.  A bit-mask closure for
 from __future__ import annotations
 
 import itertools
+import math
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -289,14 +291,27 @@ def _require_field(q: int) -> None:
 
 def _require_census(q: int, n: int, m: int) -> int:
     """The ambient count q^(m n^2) of a census; refuses a q that is not a
-    prime power, m < 0 and an ambient count over CENSUS_CAP."""
+    prime power, m < 0, and an ambient count or (at m = 0) a matrix count
+    q^(n^2) over CENSUS_CAP.  The cap is judged from the exponent before
+    the power is formed: q^e >= 2^(e (bits(q) - 1))."""
     _require_field(q)
     if m < 0:
         raise DomainError("m must be >= 0")
-    ambient = q ** (m * n * n)
-    if ambient > CENSUS_CAP:
-        raise DomainError(f"ambient count {ambient} exceeds cap {CENSUS_CAP}")
-    return ambient
+    e = max(m, 1) * n * n
+    if e * (q.bit_length() - 1) >= CENSUS_CAP.bit_length() or q ** e > CENSUS_CAP:
+        raise DomainError(f"the census of {q}^{e} {'tuples' if m else 'matrices'} "
+                          f"exceeds cap {CENSUS_CAP}")
+    return q ** (m * n * n)
+
+
+def _require_digits(q: int, e: int) -> None:
+    """Refuse an answer below q^e whose decimal digits could pass the
+    interpreter's int-to-str limit, from the exponent alone, before the
+    answer is computed."""
+    limit = sys.get_int_max_str_digits()
+    if limit and e > limit / math.log10(q):
+        raise DomainError(f"the answer, up to {q}^{e}, could pass the "
+                          f"{limit}-digit limit for printing an int")
 
 
 @dataclass(frozen=True)
@@ -448,6 +463,7 @@ def gen_value_2x2(q: int, m: int) -> int:
     _require_field(q)
     if m < 2:
         raise DomainError("formula holds for m >= 2")
+    _require_digits(q, 4 * m)
     num = q ** (4 * m - 1) + q ** (2 * m) - q ** (3 * m) - q ** (3 * m - 1)
     den = q * q - 1
     if num % den:
@@ -464,6 +480,7 @@ def gen_numerator_2x2(q: int, m: int) -> int:
     _require_field(q)
     if m < 2:
         raise DomainError("formula holds for m >= 2")
+    _require_digits(q, 4 * m)
     return (q ** (4 * m) - q**m
             - (q + 1) * (q ** (3 * m) - q**m)
             + q * (q ** (2 * m) - q**m))
@@ -489,6 +506,8 @@ def asymptotic_upper_bound(q: int, n: int, m: int) -> Fraction:
     _require_field(q)
     if n < 1 or m < 1:
         raise DomainError("the bound needs n >= 1 and m >= 1")
+    # numerator below q^((m-1) n^2 + n(n+1)/2 + 1), denominator below its root
+    _require_digits(q, (m - 1) * n * n + n * (n + 1) // 2 + 1)
     out = Fraction(q - 1) * Fraction(q) ** ((m - 1) * n * n)
     for k in range(1, n + 1):
         out *= Fraction(q**k, q**k - 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -194,12 +195,21 @@ def _cmd_relations(args) -> int:
     return 0 if ok else 1
 
 
+def _approx(x: Fraction) -> str:
+    """The positive x to three decimals, or in scientific notation through
+    logarithms from 10^15 on, where float(x) could overflow."""
+    if x < 10**15:
+        return f"{float(x):.3f}"
+    e = math.log10(x.numerator) - math.log10(x.denominator)
+    return f"{10 ** (e % 1):.3f}e+{math.floor(e)}"
+
+
 def _cmd_bound(args) -> int:
     q, n, m = args.q, args.n, args.m
     bound = census.asymptotic_upper_bound(q, n, m)
     report = {"q": q, "n": n, "m": m,
               "bound": [bound.numerator, bound.denominator]}
-    lines = [f"upper bound: {bound} (~ {float(bound):.3f})"]
+    lines = [f"upper bound: {bound} (~ {_approx(bound)})"]
     ok = True
     if n == 2:
         gen = census.gen_value_2x2(q, m)

@@ -131,8 +131,8 @@ def _check_intertwines(c: Mat, tuple_a, tuple_b) -> bool:
 def intertwiners(tuple_a, tuple_b) -> IntertwinerSpace:
     """Solution space of C A_i = B_i C.
 
-    Over a field: a kernel basis.  Over Z: a primitive (saturated) integer
-    basis of the rational kernel.
+    Over a field: a kernel basis.  Over Z: the saturated integer kernel,
+    a basis in canonical HNF of the rational kernel's integer points.
     """
     return _kernel_space(_stacked_rows(tuple_a, tuple_b, tuple_a.domain),
                          tuple_a, tuple_b)

@@ -1,7 +1,8 @@
 """Exact dense linear algebra shared by every module.
 
 Echelon forms and kernels over fields, determinants and characteristic
-polynomials over any coefficient domain, Hermite/Smith normal forms over Z,
+polynomials over any coefficient domain, the Hermite normal form over Z
+(with the lattices, kernels and Smith divisors built on it),
 and eigenline computation for 2x2 matrices in the quadratic extension.
 Vectorization is row-major everywhere.
 """
@@ -9,7 +10,8 @@ Vectorization is row-major everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import combinations, zip_longest
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -475,18 +477,15 @@ class IntLattice:
 
 
 def hnf(rows):
-    """Row-style Hermite normal form with a unimodular transform.
-
-    Returns (H, U) with U * rows == H, det(U) = +-1; H keeps the input row
-    count (zero rows at the bottom), pivots positive, entries above each
-    pivot reduced into [0, pivot).
-    """
+    """Row-style Hermite normal form H of the integer matrix `rows`, the
+    canonical basis of its row lattice: the input row count (zero rows at
+    the bottom), pivots positive, entries above each pivot reduced into
+    [0, pivot).  Every integer routine below is built on it."""
     m = len(rows)
     if m == 0:
-        return [], []
+        return []
     ncols = len(rows[0])
     H = [list(r) for r in rows]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     r = 0
     for c in range(ncols):
         while True:
@@ -496,13 +495,11 @@ def hnf(rows):
             piv = min(nz, key=lambda i: abs(H[i][c]))
             if piv != r:
                 H[r], H[piv] = H[piv], H[r]
-                U[r], U[piv] = U[piv], U[r]
             done = True
             for i in range(r + 1, m):
                 if H[i][c]:
                     q = H[i][c] // H[r][c]
                     H[i] = [x - q * y for x, y in zip(H[i], H[r])]
-                    U[i] = [x - q * y for x, y in zip(U[i], U[r])]
                     if H[i][c]:
                         done = False
             if done:
@@ -510,90 +507,47 @@ def hnf(rows):
         if r < m and H[r][c] != 0:
             if H[r][c] < 0:
                 H[r] = [-x for x in H[r]]
-                U[r] = [-x for x in U[r]]
             for i in range(r):
                 q = H[i][c] // H[r][c]
                 if q:
                     H[i] = [x - q * y for x, y in zip(H[i], H[r])]
-                    U[i] = [x - q * y for x, y in zip(U[i], U[r])]
             r += 1
             if r == m:
                 break
-    return [tuple(x) for x in H], [tuple(x) for x in U]
+    return [tuple(x) for x in H]
 
 
 def lattice_from_rows(rows, ambient_dim: int) -> IntLattice:
-    if not rows:
-        return IntLattice(ambient_dim, ())
-    H, _ = hnf(rows)
-    basis = tuple(row for row in H if any(row))
-    return IntLattice(ambient_dim, basis)
+    return IntLattice(ambient_dim, tuple(row for row in hnf(rows) if any(row)))
 
 
 def snf(rows) -> tuple:
-    """Elementary divisors d_1 | d_2 | ... (nonnegative, zeros trailing)."""
+    """Elementary divisors d_1 | d_2 | ... (nonnegative, zeros trailing).
+
+    Row HNFs of the matrix and of its transpose alternate until every
+    nonzero row has one nonzero entry (Kannan & Bachem 1979); each pair of
+    those entries then becomes its (gcd, lcm), which sorts the exponent of
+    every prime and so orders them into the divisor chain."""
     if not rows:
         return ()
-    A = [list(r) for r in rows]
-    m, n = len(A), len(A[0])
-    divisors = []
-    top = 0
-    while top < min(m, n):
-        # find the smallest nonzero entry in the remaining block
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        A[top], A[bi] = A[bi], A[top]
-        for row in A:
-            row[top], row[bj] = row[bj], row[top]
-        # clear row and column `top`; restart if a remainder shrinks the pivot
-        dirty = False
-        for i in range(top + 1, m):
-            if A[i][top]:
-                q = A[i][top] // A[top][top]
-                A[i] = [x - q * y for x, y in zip(A[i], A[top])]
-                if A[i][top]:
-                    dirty = True
-        for j in range(top + 1, n):
-            if A[top][j]:
-                q = A[top][j] // A[top][top]
-                for i in range(m):
-                    A[i][j] -= q * A[i][top]
-                if A[top][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # force divisibility of the remaining block by the pivot
-        pivot = A[top][top]
-        offender = None
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if A[i][j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            A[top] = [x + y for x, y in zip(A[top], A[offender])]
-            continue
-        divisors.append(abs(pivot))
-        top += 1
-    divisors += [0] * (min(m, n) - len(divisors))
-    return tuple(divisors)
+    H = hnf(rows)
+    while any(sum(1 for x in row if x) > 1 for row in H):
+        H = hnf(list(zip(*H)))
+    divisors = [x for row in H for x in row if x]
+    for i, j in combinations(range(len(divisors)), 2):
+        a, b = divisors[i], divisors[j]
+        divisors[i], divisors[j] = gcd(a, b), lcm(a, b)
+    return tuple(divisors) + (0,) * (min(len(rows), len(rows[0])) - len(divisors))
 
 
 def integer_kernel_saturated(rows, ncols: int):
-    """Primitive basis of {v in Z^ncols : M v = 0} (saturated by construction)."""
-    if not rows:
-        return [tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols)]
-    T = [tuple(r[i] for r in rows) for i in range(ncols)]  # transpose, ncols x m
-    H, U = hnf(T)
-    return [u for h, u in zip(H, U) if not any(h)]
+    """The kernel lattice {v in Z^ncols : M v = 0} in canonical HNF, which
+    is saturated: the right halves of the rows of hnf((M^T | I)) whose left
+    half is zero.  The result does not depend on the order of the rows."""
+    m = len(rows)
+    H = hnf([tuple(r[i] for r in rows)
+             + tuple(int(i == j) for j in range(ncols)) for i in range(ncols)])
+    return [h[m:] for h in H if not any(h[:m])]
 
 
 def subspace_intersection(basis_u, basis_w, field):

@@ -5,8 +5,10 @@ exactly when every copy generates M_n(Z), which lattice closure decides,
 and no two copies are conjugate modulo any prime; copies of different
 sizes never are.  Two copies that generate M_n(Z) generate M_n(F_p) at
 every p, so by Schur's lemma every nonzero mod-p intertwiner between them
-is invertible: they are conjugate modulo no prime exactly when the system
-C A = B C (conjugacy._stacked_rows) has n^2 elementary divisors, all 1.
+is invertible: they are conjugate modulo no prime exactly when the rows of
+the system C A = B C (conjugacy._stacked_rows) span Z^{n^2}, that is, when
+its n^2 elementary divisors are all 1.  Both halves of the decision are
+lattice fullness.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .generation import (
     lattice_generates_MnZ,
     mat_tuple,
 )
-from .linalg import commutator, det, reduce_mod, snf
+from .linalg import commutator, det, lattice_from_rows, reduce_mod
 
 # verify_z_tuples closes the whole integer family mod these primes as a
 # redundant oracle; a certified family that fails one raises InvariantError.
@@ -99,11 +101,12 @@ def _copies(generators):
 def z_generates(generators: Sequence) -> bool:
     """Do k integer tuples (sequences of Mat, one per copy, of any sizes)
     generate the sum of their copies?  The exact decision of the module
-    docstring: lattice closure, then the unit-divisor test per pair."""
+    docstring: lattice closure per copy, then per pair of equal-size copies
+    the rows of C A = B C spanning Z^{n^2}."""
     copies, _ = _copies(generators)
     if not all(lattice_generates_MnZ(c.mats, c.n)[0] for c in copies):
         return False
-    return all(set(snf(_stacked_rows(a, b, ZZ))) == {1}
+    return all(lattice_from_rows(_stacked_rows(a, b, ZZ), a.n * a.n).is_full
                for a, b in itertools.combinations(copies, 2) if a.n == b.n)
 
 

@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -274,6 +275,38 @@ def test_bound_refuses_n_and_m_below_one(capsys):
         assert "n >= 1 and m >= 1" in captured.err and captured.out == ""
 
 
+def test_bound_and_formula_print_large_answers_and_refuse_unprintable(capsys):
+    # a bound past the float range is approximated through logarithms
+    for argv, tail in ((["bound", "--q", "2", "--n", "40", "--m", "2"], "e+482)"),
+                       (["bound", "--q", "2", "--n", "2", "--m", "300"], "e+360)")):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(tail)
+    # an answer past the int-to-str digit limit is refused from its exponent
+    start = time.perf_counter()
+    for argv in (["bound", "--q", "2", "--n", "2", "--m", "4000"],
+                 ["--json", "bound", "--q", "2", "--n", "2", "--m", "4000"],
+                 ["count", "--q", "2", "--m", "4000", "--mode", "formula"],
+                 ["--json", "count", "--q", "2", "--m", "4000", "--mode", "formula"],
+                 ["bound", "--q", "2", "--m", str(10**9)],
+                 ["count", "--q", "2", "--m", str(10**9), "--mode", "formula"],
+                 ["bound", "--q", "2", "--n", str(10**5), "--m", "1"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "digit limit" in captured.err and captured.out == ""
+    assert time.perf_counter() - start < 1
+
+
+def test_census_refuses_huge_n_from_the_exponent(capsys):
+    start = time.perf_counter()
+    for n in (6, 100, 3000, 4000, 10**4):
+        for m, mode in ((0, "brute"), (1, "brute"), (0, "all"), (2, "all")):
+            assert main(["--json", "count", "--q", "2", "--n", str(n),
+                         "--m", str(m), "--mode", mode]) == 2
+            captured = capsys.readouterr()
+            assert "exceeds cap" in captured.err and captured.out == ""
+    assert time.perf_counter() - start < 1
+
+
 def test_check_missing_file_exits_two(tmp_path):
     assert main(["check", "--input", str(tmp_path / "nope.json")]) == 2
 
@@ -450,6 +483,22 @@ def test_cli_import_leaves_numpy_unloaded():
          "import sys, matgen.cli; print('numpy' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_name_the_perfbench_tracer_wraps_resolves():
+    # the tracer replaces these by name when it is installed, so a renamed
+    # or deleted function would otherwise break only `run.py --trace 1`
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for mod, attr, _ in tracer.SPANNED + tracer.COUNTED:
+        assert mod.__name__.startswith("matgen.")
+        assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr}"
+    for cls, _ in tracer.FIELD_CLASSES:
+        for meth in tracer.FIELD_METHODS:
+            assert callable(cls.__dict__.get(meth)), f"{cls.__name__}.{meth}"
+    assert callable(matgen.domains.is_prime)
 
 
 # --- integer files: one exact decision for every block size -----------------

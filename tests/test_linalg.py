@@ -213,11 +213,11 @@ def test_cayley_hamilton(domain):
 # --- HNF / SNF --------------------------------------------------------------
 
 def test_hnf_examples():
-    H, U = hnf([(1, 0), (0, 1)])
+    H = hnf([(1, 0), (0, 1)])
     assert H == [(1, 0), (0, 1)]
     lat = lattice_from_rows([(2, 0), (0, 2)], 2)
     assert lat.basis == ((2, 0), (0, 2)) and lat.index_in_full() == 4
-    H, _ = hnf([(2, 1), (0, 3)])
+    H = hnf([(2, 1), (0, 3)])
     assert H == [(2, 1), (0, 3)]
     assert lattice_from_rows([(2, 1), (0, 3)], 2).index_in_full() == 6
 
@@ -232,10 +232,15 @@ def _det_int(rows):
 
 
 def test_hnf_transform_is_unimodular_and_preserves_span():
+    # hnf((rows | I)) carries the transform U in its right block
     rng = random.Random(4)
     for _ in range(25):
         rows = [tuple(rng.randrange(-4, 5) for _ in range(3)) for _ in range(3)]
-        H, U = hnf(rows)
+        H = hnf(rows)
+        augmented = hnf([row + tuple(int(i == j) for j in range(3))
+                         for i, row in enumerate(rows)])
+        assert [row[:3] for row in augmented] == H
+        U = [row[3:] for row in augmented]
         assert abs(_det_int([list(u) for u in U])) == 1
         for urow, hrow in zip(U, H):
             built = [sum(u * r[j] for u, r in zip(urow, rows)) for j in range(3)]
@@ -273,6 +278,88 @@ def test_integer_kernel_is_saturated():
 
     assert gcd(v[0], v[1]) == 1  # primitive
     assert 2 * v[0] + 4 * v[1] == 0
+
+
+def test_integer_kernel_is_independent_of_row_order():
+    rng = random.Random(6)
+    for _ in range(300):
+        ncols = rng.randint(2, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(ncols))
+                for _ in range(rng.randint(1, ncols))]
+        kernel = integer_kernel_saturated(rows, ncols)
+        assert all(sum(a * x for a, x in zip(row, v)) == 0
+                   for row in rows for v in kernel)
+        assert lattice_from_rows(kernel, ncols).basis == tuple(kernel)
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert integer_kernel_saturated(shuffled, ncols) == kernel
+
+
+def _snf_reference(rows):
+    """The Smith form by pivot search on the whole block: clear the pivot's
+    row and column, restarting when a remainder shrinks the pivot, then
+    force divisibility of the block by adding an offending row."""
+    if not rows:
+        return ()
+    A = [list(r) for r in rows]
+    m, n = len(A), len(A[0])
+    divisors = []
+    top = 0
+    while top < min(m, n):
+        best = None
+        for i in range(top, m):
+            for j in range(top, n):
+                if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        A[top], A[bi] = A[bi], A[top]
+        for row in A:
+            row[top], row[bj] = row[bj], row[top]
+        dirty = False
+        for i in range(top + 1, m):
+            if A[i][top]:
+                q = A[i][top] // A[top][top]
+                A[i] = [x - q * y for x, y in zip(A[i], A[top])]
+                if A[i][top]:
+                    dirty = True
+        for j in range(top + 1, n):
+            if A[top][j]:
+                q = A[top][j] // A[top][top]
+                for i in range(m):
+                    A[i][j] -= q * A[i][top]
+                if A[top][j]:
+                    dirty = True
+        if dirty:
+            continue
+        pivot = A[top][top]
+        offender = next((i for i in range(top + 1, m)
+                         if any(A[i][j] % pivot for j in range(top + 1, n))), None)
+        if offender is not None:
+            A[top] = [x + y for x, y in zip(A[top], A[offender])]
+            continue
+        divisors.append(abs(pivot))
+        top += 1
+    return tuple(divisors) + (0,) * (min(m, n) - len(divisors))
+
+
+def test_snf_matches_the_pivot_search_reference():
+    rng = random.Random(8)
+    for case in range(600):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if case % 3 == 0:  # rectangular, small entries
+            rows = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m)]
+        elif case % 3 == 1:  # rank-deficient: a product through rank r
+            r = rng.randint(0, min(m, n))
+            B = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(m)]
+            C = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(r)]
+            rows = [tuple(sum(B[i][k] * C[k][j] for k in range(r))
+                          for j in range(n)) for i in range(m)]
+        else:
+            rows = [tuple(rng.randint(-10**12, 10**12) for _ in range(n))
+                    for _ in range(m)]
+        assert snf(rows) == _snf_reference(rows), rows
 
 
 # --- eigenlines over the quadratic extension --------------------------------

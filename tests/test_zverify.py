@@ -5,14 +5,25 @@ from fractions import Fraction
 
 import pytest
 
+from matgen.conjugacy import _stacked_rows
 from matgen.construct import TABLE16_PAIRS, standard_xy, table16
 from matgen.domains import QQ, ZZ, DomainError
 from matgen.generation import (
     DirectSumShape,
     det_commutator_generates,
     lattice_generates_MnZ,
+    mat_tuple,
 )
-from matgen.linalg import identity, madd, mat, mmul, smul, unit_mat
+from matgen.linalg import (
+    identity,
+    lattice_from_rows,
+    madd,
+    mat,
+    mmul,
+    smul,
+    snf,
+    unit_mat,
+)
 from matgen.zverify import (
     closure_mod_p,
     local_global_generator_count,
@@ -259,6 +270,25 @@ def test_z_generates_matches_certificate_on_seeded_pairs(n, count):
         assert verify_z_tuples(generators).overall == verdict
         verdicts.append(verdict)
     assert 0 < verdicts.count(False) < count // 2
+
+
+@pytest.mark.parametrize("n, count", [(2, 150), (3, 30)])
+def test_lattice_fullness_equals_unit_divisors_on_seeded_systems(n, count):
+    # z_generates reads "the rows of C A = B C span Z^{n^2}"; the divisor
+    # reading is "all n^2 elementary divisors are 1"
+    rng = random.Random(13)
+    readings = []
+    for i in range(count):
+        if i % 2:
+            a, b = zip(*_seeded_pair(rng, n))
+        else:
+            a, b = ([_int_mat(rng, n) for _ in range(i % 3 + 1)]
+                    for _ in range(2))
+        rows = _stacked_rows(mat_tuple(list(a)), mat_tuple(list(b)), ZZ)
+        full = lattice_from_rows(rows, n * n).is_full
+        assert full == (snf(rows) == (1,) * (n * n))
+        readings.append(full)
+    assert 0 < readings.count(True) < count
 
 
 def test_z_generates_matches_certificate_on_table16_columns():
