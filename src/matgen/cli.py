@@ -82,7 +82,7 @@ def _cmd_check(args) -> int:
     domain = tf.domain
     report = {"input": args.input, "coeff": domain.kind}
     if domain.is_field:
-        if tf.is_homogeneous and domain.char != 0:
+        if tf.is_homogeneous:
             # the criterion runs the span closure itself and raises unless
             # the two verdicts agree
             rep = tuple_criterion_generates(

@@ -3,12 +3,10 @@
 The relation A_i = C^{-1} B_i C is linearized as C A_i = B_i C, so the
 candidate conjugators form the kernel of a stacked linear system; deciding
 conjugacy means deciding whether that kernel contains an invertible matrix.
-Over Z this extends to a certificate covering every prime at once.  For 2x2
-tuples det is a quadratic form on the kernel, and its vanishing is read off
-finitely many values; for n >= 3 the tuples must generate M_n(Z), and then
-every intertwiner space has dimension 0 or 1 (see nonconjugate_all_primes).
-Either way the finitely many exceptional primes (divisors of the elementary
-divisors of the system) are checked individually.
+One grid rule (_span_points) decides it over F_q and Q at every n.  Over Z
+the same rule on the integer kernel decides, at once, every prime dividing
+no elementary divisor of the system; the finitely many others are checked
+one by one, which makes a certificate covering every prime.
 """
 
 from __future__ import annotations
@@ -156,78 +154,67 @@ def _kernel_space(rows, tuple_a, tuple_b) -> IntertwinerSpace:
     return IntertwinerSpace(basis=basis, dim=len(basis))
 
 
-def _form_points(basis):
-    """(b, det b) for each basis matrix b_i, then for each b_i + b_j, i < j.
+def _span_points(basis, grid):
+    """(b, det b) at each b_i, each b_i + b_j (i < j), then every other
+    projective grid point of the span: first nonzero coordinate 1, the
+    others in grid.  UndecidableError if len(grid)^(dim-1) > ENUMERATION_CAP.
 
-    For 2x2 matrices det is a quadratic form on the span of the basis, and
-    these values list its coefficients in any characteristic: det(b_i) and
-    det(b_i + b_j) - det(b_i) - det(b_j).  So the form vanishes on the span
-    exactly when it vanishes at every point yielded here.
+    det is homogeneous of degree n, so it vanishes on the span exactly when
+    it vanishes at every projective point: up to unit multiples these are
+    all points when grid is F_q, and when grid has n + 1 elements,
+    det(b_k + sum_{i>k} x_i b_i), of degree <= n in each x_i, is zero once
+    it vanishes on grid^(dim-k-1) (Alon, Combinatorial Nullstellensatz,
+    Lemma 2.1).  For n = 2, det(b_i) and det(b_i + b_j) - det(b_i) -
+    det(b_j) are the coefficients of the quadratic form det.
     """
+    dim = len(basis)
+    if len(grid) ** (dim - 1) > ENUMERATION_CAP:
+        raise UndecidableError(
+            f"{len(grid)}^{dim - 1} grid points on an intertwiner space of "
+            f"dimension {dim} exceed the enumeration cap; undecidable under "
+            "current strategy")
     for b in basis:
         yield b, det(b)
     for b_i, b_j in itertools.combinations(basis, 2):
         b = madd(b_i, b_j)
         yield b, det(b)
+    for k in range(dim):
+        for coeffs in itertools.product(grid, repeat=dim - k - 1):
+            if set(coeffs) <= {0, 1} and coeffs.count(1) <= 1:
+                continue  # b_k or b_k + b_j, yielded above
+            b = functools.reduce(madd, (smul(c, x) for c, x in
+                                        zip(coeffs, basis[k + 1:]) if c != 0),
+                                 basis[k])
+            yield b, det(b)
 
 
-def _witness_from_span(space: IntertwinerSpace, field):
-    """Invertible element of the span, or None.
-
-    n = 2: the first point of _form_points whose det is a unit.  n >= 3: a
-    line is decided at any q by its first nonzero multiple c b, the element
-    enumeration tries first, since det(c b) = c^n det(b); a larger span is
-    enumerated while q^dim fits ENUMERATION_CAP.  Above the cap, and over Q,
-    UndecidableError is raised.
-    """
-    dim = space.dim
-    if dim == 0:
-        return None
-    n = space.basis[0].n
-    if n == 2:
-        return next((b for b, d in _form_points(space.basis)
-                     if field.is_unit(d)), None)
-    if field.char == 0 or (dim > 1 and field.size**dim > ENUMERATION_CAP):
-        raise UndecidableError(
-            f"n = {n} intertwiner space of dimension {dim} over {field!r} "
-            "exceeds the enumeration cap; undecidable under current strategy")
-    zero = field.zero()
-    if dim == 1:
-        cand = smul(next(c for c in field.elements() if c != zero), space.basis[0])
-        return cand if field.is_unit(det(cand)) else None
-    for coeffs in itertools.product(field.elements(), repeat=dim):
-        if all(c == zero for c in coeffs):
-            continue
-        cand = functools.reduce(
-            madd, (smul(c, b) for c, b in zip(coeffs, space.basis)))
-        if field.is_unit(det(cand)):
-            return cand
-    return None
+def _witness_from_span(space: IntertwinerSpace, field, n: int):
+    """The first point of _span_points with a unit determinant, or None, on
+    the grid 0..n over Q and the first n + 1 elements of F_q otherwise."""
+    grid = range(n + 1) if field.char == 0 else \
+        tuple(itertools.islice(field.elements(), n + 1))
+    return next((b for b, d in _span_points(space.basis, grid)
+                 if field.is_unit(d)), None)
 
 
 def _witness(tuple_a, tuple_b, space: IntertwinerSpace):
-    """Invertible C with C A_i = B_i C for all i, or None, over a field.
-
-    The identity for equal tuples, else the rule of _witness_from_span on
-    their intertwiner space; a witness is revalidated before it is returned.
-    """
+    """Invertible C with C A_i = B_i C for all i, or None, over a field:
+    the identity for equal tuples, else _witness_from_span, revalidated."""
     field = tuple_a.domain
     if tuple_a.mats == tuple_b.mats:
         return identity(field, tuple_a.n)
-    w = _witness_from_span(space, field)
-    if w is not None:
-        if not (_check_intertwines(w, tuple_a, tuple_b) and field.is_unit(det(w))):
-            raise InvariantError("conjugacy witness failed revalidation; bug")
+    w = _witness_from_span(space, field, tuple_a.n)
+    if w is not None and not (_check_intertwines(w, tuple_a, tuple_b)
+                              and field.is_unit(det(w))):
+        raise InvariantError("conjugacy witness failed revalidation; bug")
     return w
 
 
 def simultaneously_conjugate(tuple_a, tuple_b) -> Optional[Mat]:
     """Witness C in GL_n with C A_i = B_i C for all i, or None.
 
-    n = 2 is decided by det, a quadratic form on the intertwiner space, at
-    any q; n >= 3 by one point of a 1-dimensional space at any q, and a
-    larger space by enumeration while q^dim fits ENUMERATION_CAP; refused
-    with UndecidableError above it and over Q.
+    Decided at any n, over F_q and Q, by the points of _span_points on the
+    intertwiner space; refused (UndecidableError) only past its cap.
     """
     if not tuple_a.domain.is_field:
         raise DomainError("simultaneously_conjugate requires a field")
@@ -247,44 +234,31 @@ def _modp_verdict(tuple_a, tuple_b, rows, p: int) -> PrimeVerdict:
 
 
 def nonconjugate_all_primes(tuple_a, tuple_b) -> NonConjCertificate:
-    """Certify that two integer tuples are conjugate modulo no prime.
+    """Certify that two integer tuples of any size n are conjugate modulo
+    no prime: overall is True exactly when no prime p admits an invertible
+    mod-p intertwiner.
 
-    overall is True exactly when no prime p admits an invertible mod-p
-    intertwiner.  Soundness for n = 2: away from primes dividing the
-    elementary divisors of the stacked system, the mod-p kernel is the
-    reduction of the saturated rational kernel, where det vanishes
-    identically whenever all polarization values vanish.  n >= 3 needs both
-    tuples to generate M_n(Z), or DomainError is raised; then every
-    intertwiner space has dimension 0 or 1 (Schur's lemma; see
-    matgen.zverify), so rational_kernel_dim <= 1, det_vanishes_on_kernel
-    holds exactly when that kernel is 0, and no cross terms are listed.
+    Away from the primes dividing the elementary divisors of the stacked
+    system, the mod-p kernel reduces the saturated rational kernel, so det
+    on it decides them all: det_vanishes_on_kernel when det is 0 at every
+    point of _span_points on the grid 0..n.  The exceptional primes are
+    decided one by one.  The polarization fields are the first points' dets.
+    The stacked system is built once: the integer kernel, the SNF and every
+    mod-p kernel come from its rows.
     """
     if tuple_a.domain != ZZ or tuple_b.domain != ZZ:
         raise DomainError("all-primes certification works over Z")
-    if tuple_a.n >= 3:
-        from .generation import lattice_generates_MnZ
-
-        if not all(lattice_generates_MnZ(t.mats, t.n)[0]
-                   for t in (tuple_a, tuple_b)):
-            raise DomainError("certification for n >= 3 needs tuples that "
-                              "generate M_n(Z)")
-    return _certificate(tuple_a, tuple_b)
-
-
-def _certificate(tuple_a, tuple_b) -> NonConjCertificate:
-    """nonconjugate_all_primes without its n >= 3 precondition check.
-
-    The stacked integer system is built once: the integer kernel, the SNF
-    and every mod-p kernel are taken from its rows."""
     rows = _stacked_rows(tuple_a, tuple_b, ZZ)
     space = _kernel_space(rows, tuple_a, tuple_b)
     dim = space.dim
-    points = list(_form_points(space.basis))
-    dets = tuple(d for _, d in points[:dim])
+    points = _span_points(space.basis, range(tuple_a.n + 1))
+    form = list(itertools.islice(points, dim * (dim + 1) // 2))
+    dets = tuple(d for _, d in form[:dim])
     pairs = itertools.combinations(range(dim), 2)
     cross = tuple((i, j, d - dets[i] - dets[j])
-                  for (i, j), (_, d) in zip(pairs, points[dim:]))
-    vanishes = all(d == 0 for _, d in points)
+                  for (i, j), (_, d) in zip(pairs, form[dim:]))
+    bound = next((abs(d) for _, d in itertools.chain(form, points) if d != 0), 0)
+    vanishes = bound == 0
 
     exceptional = sorted({2}.union(*(_prime_factors(abs(d)) for d in snf(rows))))
 
@@ -301,7 +275,6 @@ def _certificate(tuple_a, tuple_b) -> NonConjCertificate:
         # det is nonzero somewhere on the rational kernel, so some prime
         # conjugates; sweep upward until one is exhibited.
         overall = False
-        bound = next(abs(d) for _, d in points if d != 0)
         for p in filter(is_prime, itertools.count(2)):
             v = verdicts.get(p) or _modp_verdict(tuple_a, tuple_b, rows, p)
             verdicts.setdefault(p, v)

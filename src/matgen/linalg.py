@@ -10,6 +10,7 @@ Vectorization is row-major everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, lcm
 from operator import mul
@@ -81,16 +82,24 @@ def msub(a: Mat, b: Mat) -> Mat:
 
 
 def mmul(a: Mat, b: Mat) -> Mat:
-    """The product ab: native int or Fraction dot products over F_p (then
-    reduced mod p), Z and Q; the domain methods over F_{p^k}."""
+    """The product ab: native int dot products over F_p (then reduced mod
+    p) and Z, and over Q on the rows of a and columns of b scaled to
+    integers, one Fraction per entry; the domain methods over F_{p^k}."""
     d = a.domain
     bt = tuple(zip(*b.rows))
     kind = d.kind
     if kind == "prime_field":
         p = d.p
         rows = tuple(tuple(sum(map(mul, ra, cb)) % p for cb in bt) for ra in a.rows)
-    elif kind in ("integers", "rationals"):
+    elif kind == "integers":
         rows = tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a.rows)
+    elif kind == "rationals":
+        la = [lcm(*(x.denominator for x in r)) for r in a.rows]
+        lb = [lcm(*(y.denominator for y in c)) for c in bt]
+        ai = [[x.numerator * (l // x.denominator) for x in r] for r, l in zip(a.rows, la)]
+        bi = [[y.numerator * (l // y.denominator) for y in c] for c, l in zip(bt, lb)]
+        rows = tuple(tuple(Fraction(sum(map(mul, r, c)), l * m) for c, m in zip(bi, lb))
+                     for r, l in zip(ai, la))
     else:
         out = []
         for ra in a.rows:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .census import gen_value_2x2
-from .conjugacy import _certificate, _stacked_rows, nonconjugate_all_primes
+from .conjugacy import _stacked_rows, nonconjugate_all_primes
 from .domains import ZZ, DomainError, InvariantError
 from .generation import (
     DirectSumShape,
@@ -116,10 +116,12 @@ def verify_z_tuples(generators: Sequence) -> ZGenVerdict:
     Each copy gets a lattice closure, and a 2x2 copy of two generators also
     the det-commutator test, which must agree.  Each pair of equal-size
     copies gets the all-primes certificate, unless a copy of size n >= 3
-    fails lattice closure (the verdict is then False anyway).  For two
-    lattice-generating copies it must read as the divisors do: every kernel
-    dimension at most 1, and overall exactly when all of them are 0.  A
-    certified family must also close modulo every prime of SAMPLE_PRIMES.
+    fails lattice closure: the verdict is then False anyway, and the large
+    intertwiner space of such a pair could make its certificate refuse.
+    For two lattice-generating copies it must read as the divisors do:
+    every kernel dimension at most 1, and overall exactly when all of them
+    are 0.  A certified family must also close modulo every prime of
+    SAMPLE_PRIMES.
     """
     copies, shape = _copies(generators)
     k = copies[0].m
@@ -141,9 +143,7 @@ def verify_z_tuples(generators: Sequence) -> ZGenVerdict:
         schur = componentwise[i].lattice_ok and componentwise[j].lattice_ok
         if a.n != b.n or (a.n >= 3 and not schur):
             continue
-        # the public entry would close n >= 3 copies again for its precondition
-        certify = nonconjugate_all_primes if a.n == 2 else _certificate
-        cert = certify(a, b)
+        cert = nonconjugate_all_primes(a, b)
         if schur:
             dims = [cert.rational_kernel_dim] + [
                 pv.kernel_dim for pv in cert.exceptional_primes]

@@ -134,6 +134,42 @@ def test_check_non_generating_rational_pair(tmp_path, capsys):
                                "ambient_dim": 8}
 
 
+def test_check_rational_copies_conjugate_by_a_shear(tmp_path, monkeypatch,
+                                                    capsys):
+    # two 3x3 copies over Q, the second the first conjugated by I + E_12:
+    # the criterion names the pair, and the span closure still runs once
+    from matgen import cli, generation
+    from matgen.construct import standard_xy
+    from matgen.linalg import mmul
+
+    X, Y = standard_xy(3, QQ)
+    u = mat(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    u_inv = mat(QQ, [[1, -1, 0], [0, 1, 0], [0, 0, 1]])
+    fam = GeneratorFamily(
+        shape=DirectSumShape(((3, 2),)),
+        generators=tuple((g, mmul(mmul(u, g), u_inv)) for g in (X, Y)),
+        provenance="test")
+    shapes = []
+    closure = generation.closure_generates
+
+    def counted(S, shape, *args, **kwargs):
+        shapes.append(shape)
+        return closure(S, shape, *args, **kwargs)
+
+    monkeypatch.setattr(generation, "closure_generates", counted)
+    monkeypatch.setattr(cli, "closure_generates", counted)
+    path = tmp_path / "conj.json"
+    path.write_text(dumps(fam), encoding="utf-8")
+    assert main(["--json", "check", "--input", str(path)]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["tuple_criterion"]["verdict"] is False
+    assert data["tuple_criterion"]["failed_condition"].startswith(
+        "ConjugatePair(i=0, j=1")
+    assert data["closure"] == {"verdict": False, "closure_dim": 9,
+                               "ambient_dim": 18}
+    assert shapes.count(fam.shape) == 1
+
+
 def test_check_malformed_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken", encoding="utf-8")
@@ -420,6 +456,20 @@ def test_count_and_bound_refuse_bad_q(capsys):
 def test_relations_command(capsys):
     assert main(["relations", "--n", "5", "--domain", "q"]) == 0
     assert main(["relations", "--n", "3", "--domain", "f2"]) == 0
+
+
+def test_relations_are_capped_and_quick_below_the_cap(capsys):
+    from matgen.construct import RELATIONS_MAX_N
+
+    assert RELATIONS_MAX_N >= 20
+    start = time.perf_counter()
+    for n in (RELATIONS_MAX_N + 1, 10**9):
+        assert main(["relations", "--n", str(n)]) == 2
+        assert f"n <= {RELATIONS_MAX_N}" in capsys.readouterr().err
+    assert time.perf_counter() - start < 0.1
+    start = time.perf_counter()
+    assert main(["relations", "--n", "20", "--domain", "q"]) == 0
+    assert time.perf_counter() - start < 2.0
 
 
 def test_relations_over_a_large_extension_is_quick(capsys):

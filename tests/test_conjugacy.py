@@ -27,6 +27,7 @@ from matgen.generation import mat_tuple
 from matgen.linalg import (
     Mat,
     det,
+    det_rows,
     identity,
     madd,
     mat,
@@ -189,16 +190,133 @@ def test_determinant_form_matches_enumeration(q):
 
 
 def test_undecidable_large_space_raises():
-    # E_11 vs E_22 in M_3(F_9): 5-dimensional intertwiner space, 9^5 points,
-    # and no quadratic-form shortcut for n = 3
-    f9 = build_ext_field(3, 2)
-    with pytest.raises(UndecidableError):
-        simultaneously_conjugate(mat_tuple([unit_mat(f9, 3, 0, 0)]),
-                                 mat_tuple([unit_mat(f9, 3, 1, 1)]))
-    # over Q the span cannot be enumerated at all
-    with pytest.raises(UndecidableError):
-        simultaneously_conjugate(mat_tuple([unit_mat(QQ, 3, 0, 0)]),
-                                 mat_tuple([unit_mat(QQ, 3, 1, 1)]))
+    # E_11 vs E_22 in M_4(F_5): a 10-dimensional intertwiner space, whose
+    # grid of 5^9 points is past the enumeration cap
+    f5 = PrimeField(5)
+    start = time.perf_counter()
+    with pytest.raises(UndecidableError, match="5\\^9 grid points"):
+        simultaneously_conjugate(mat_tuple([unit_mat(f5, 4, 0, 0)]),
+                                 mat_tuple([unit_mat(f5, 4, 1, 1)]))
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("field", [build_ext_field(3, 2), QQ], ids=["F9", "Q"])
+def test_e11_against_e22_decided_past_the_old_enumeration(field):
+    # a 5-dimensional intertwiner space: 9^5 points over F_9 and infinitely
+    # many over Q, but a grid of 4^4 points; the witness swaps e_1 and e_2
+    a = mat_tuple([unit_mat(field, 3, 0, 0)])
+    b = mat_tuple([unit_mat(field, 3, 1, 1)])
+    assert intertwiners(a, b).dim == 5
+    w = simultaneously_conjugate(a, b)
+    assert field.is_unit(det(w))
+    assert mmul(w, a.mats[0]).rows == mmul(b.mats[0], w).rows
+    support = [[x != 0 for x in row] for row in w.rows]
+    assert support == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    if field == QQ:
+        assert w.rows == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+
+
+def _shears(field, n, rng, count=3):
+    """count random shears I + c E_ij (i != j) and their inverses."""
+    elems = list(field.elements())
+    out = []
+    for _ in range(count):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice(elems)
+        s, s_inv = identity(field, n), identity(field, n)
+        s = madd(s, smul(c, unit_mat(field, n, i, j)))
+        s_inv = madd(s_inv, smul(field.neg(c), unit_mat(field, n, i, j)))
+        out.append((s, s_inv))
+    return out
+
+
+def _structured_mat(field, n, rng):
+    """A diagonal matrix on two values (a large centralizer), a sparse
+    matrix, or a dense random one."""
+    elems = list(field.elements())
+    kind = rng.randrange(3)
+    if kind == 2:
+        return rand_mat(field, n, rng)
+    rows = [[field.zero()] * n for _ in range(n)]
+    if kind == 0:
+        vals = rng.sample(elems, 2)
+        for i in range(n):
+            rows[i][i] = rng.choice(vals)
+    else:
+        for _ in range(rng.randrange(n + 1)):
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(elems)
+    return mat(field, rows)
+
+
+REFERENCE_CAP = 1 << 14
+
+
+def _span_has_invertible(space, field):
+    """Reference: does some combination of the basis, over every coefficient
+    vector of F_q^dim, have a unit determinant?  Depth-first on partial
+    sums of the flattened basis."""
+    n = space.basis[0].n if space.dim else 0
+    flat = [[x for row in b.rows for x in row] for b in space.basis]
+    elems = list(field.elements())
+
+    def search(i, acc):
+        if i == space.dim:
+            return field.is_unit(det_rows([acc[r * n:(r + 1) * n]
+                                           for r in range(n)], field))
+        return any(search(i + 1, [field.add(x, field.mul(c, y))
+                                  for x, y in zip(acc, flat[i])])
+                   for c in elems)
+
+    return space.dim > 0 and search(0, [field.zero()] * (n * n))
+
+
+def test_grid_rule_matches_exhaustive_enumeration():
+    # n = 3 and 4 over F_2, F_3, F_4 (q <= n) and F_5, F_7 (q > n): every
+    # witness intertwines and is invertible, the verdict equals the
+    # enumeration of F_q^dim wherever that has at most REFERENCE_CAP
+    # points, and past the grid's cap a pair of unequal tuples is refused
+    from matgen.conjugacy import ENUMERATION_CAP
+
+    rng = random.Random(16)
+    dims, refused, found, checked = set(), 0, 0, 0
+    for q in (2, 3, 4, 5, 7):
+        field = field_of_order(q)
+        for k in range(40):
+            n = 3 + k % 2
+            m = 1 + (k // 2) % 2
+            a = mat_tuple([_structured_mat(field, n, rng) for _ in range(m)])
+            if k % 4 == 2:
+                b = mat_tuple([_structured_mat(field, n, rng) for _ in range(m)])
+            else:
+                # a conjugate of a, or for k % 4 == 3 of a with one
+                # diagonal entry redrawn
+                b = a
+                if k % 4 == 3:
+                    i = rng.randrange(n)
+                    b = mat_tuple([madd(b.mats[0], smul(
+                        rng.choice(list(field.elements())),
+                        unit_mat(field, n, i, i)))] + list(b.mats[1:]))
+                for s, s_inv in _shears(field, n, rng):
+                    b = mat_tuple([mmul(mmul(s, x), s_inv) for x in b.mats])
+            space = intertwiners(a, b)
+            dims.add(space.dim)
+            if (a.mats != b.mats
+                    and min(q, n + 1) ** (space.dim - 1) > ENUMERATION_CAP):
+                with pytest.raises(UndecidableError):
+                    simultaneously_conjugate(a, b)
+                refused += 1
+                continue
+            w = simultaneously_conjugate(a, b)
+            if q ** space.dim <= REFERENCE_CAP:
+                assert (w is not None) == _span_has_invertible(space, field)
+                checked += 1
+            if w is not None:
+                found += 1
+                assert field.is_unit(det(w))
+                assert all(mmul(w, x).rows == mmul(y, w).rows
+                           for x, y in zip(a.mats, b.mats))
+    assert refused and found and max(dims) == 16 and 0 in dims
+    assert checked > 100
 
 
 # --- all-primes certificates --------------------------------------------------
@@ -273,12 +391,9 @@ def test_certificate_against_bruteforce_small_sample():
                 assert brute is None
 
 
-def test_polarization_branch_matches_sweep_in_char_2(monkeypatch):
-    # force the quadratic-form decision even where enumeration would apply;
-    # its values-based coefficients stay valid in characteristic 2
-    import matgen.conjugacy as cj
-
-    monkeypatch.setattr(cj, "ENUMERATION_CAP", 1)
+def test_polarization_branch_matches_sweep_in_char_2():
+    # the grid rule at n = 2 over F_2, whose grid is all of F_2, against
+    # the GL_2(F_2) sweep
     f2 = PrimeField(2)
     rng = random.Random(8)
     for _ in range(120):
@@ -288,7 +403,7 @@ def test_polarization_branch_matches_sweep_in_char_2(monkeypatch):
                        for m in az.mats])
         b = mat_tuple([mat(f2, [[x for x in r] for r in m.rows])
                        for m in bz.mats])
-        w_polar = cj.simultaneously_conjugate(a, b)
+        w_polar = simultaneously_conjugate(a, b)
         w_brt = conjugate_mod_p_bruteforce(az, bz, 2)
         assert (w_polar is None) == (w_brt is None)
 
@@ -453,10 +568,23 @@ def _shear3():
             mat(ZZ, [[1, -1, 0], [0, 1, 0], [0, 0, 1]]))
 
 
-def test_3x3_certificate_refuses_a_non_generating_tuple():
+def test_3x3_certificate_of_a_non_generating_tuple_matches_every_prime():
+    # (X, Y) generates M_3(Z) and (X, X) does not; the certificate needs
+    # neither, and its verdicts agree with the field decision mod p
     X, Y = _xy3()
-    with pytest.raises(DomainError, match="generate M_n"):
-        nonconjugate_all_primes(mat_tuple([X, Y]), mat_tuple([X, X]))
+    a, b = mat_tuple([X, Y]), mat_tuple([X, X])
+    cert = nonconjugate_all_primes(a, b)
+    assert cert.overall and cert.rational_kernel_dim == 0
+    verdicts = {pv.p: pv.invertible_found for pv in cert.exceptional_primes}
+    primes = sorted(set(verdicts) | {2, 3, 5, 7, 11, 13})
+    for p in primes:
+        fp = PrimeField(p)
+        reduced = [mat_tuple([mat(fp, [[x % p for x in r] for r in m.rows])
+                              for m in t.mats]) for t in (a, b)]
+        conj = simultaneously_conjugate(*reduced) is not None
+        assert verdicts.get(p, conj) == conj
+        assert not conj
+    assert cert.witness is None
 
 
 def test_3x3_certificate_of_conjugate_tuples_reads_by_schur():

@@ -402,6 +402,26 @@ def test_eigenlines_are_invariant(field):
 
 # --- misc -------------------------------------------------------------------
 
+def test_rational_product_matches_fraction_dot_products():
+    # the product on integer-scaled rows and columns against the entrywise
+    # Fraction sums, with zero rows, integral and mixed denominators
+    rng = random.Random(31)
+    for k in range(60):
+        n = 1 + k % 5
+
+        def draw():
+            return [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 12)))
+                     if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+                    for _ in range(n)]
+
+        a, b = draw(), draw()
+        want = [[sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0))
+                 for j in range(n)] for i in range(n)]
+        got = mmul(mat(QQ, a), mat(QQ, b)).rows
+        assert [list(r) for r in got] == want
+        assert all(type(x) is Fraction for r in got for x in r)
+
+
 def test_det_small_sizes():
     assert det(mat(ZZ, [[2]])) == 2
     assert det(mat(ZZ, [[1, 2], [3, 4]])) == -2
