@@ -7,14 +7,18 @@ for every closed formula and bound used downstream.
 
 The enumeration engine numbers matrices by integer ids over a table-driven
 field.  Every tuple is tested, a block of tuples per numpy call.  The brute
-force decides a block with a batched span closure: per-tuple echelon bases
-of uint8 field indices, grown level by level from the products of the newly
-added rows with the generators until a tuple reaches rank n^2 or a level
-adds nothing.  Memory grows with the block size and n, not with the number
-of matrices.  The orbit count compares the ids of a block of generating
-tuples with those of their PGL images; the complement count ANDs the
-subalgebra membership masks of a block of tuples.  A bit-mask closure for
-2x2 matrices over F_2 stays as an independent reference.
+force decides a block with a batched span closure: per-tuple echelon bases,
+grown level by level from the products of the newly added rows with the
+generators until a tuple reaches rank n^2 or a level adds nothing.  Up to
+ID_TABLE_MAX matrices a vector is one matrix id, and a product, a scaling
+or a difference of matrices is one gather from a table over all pairs;
+above it a vector is its n^2 field entries, and each entry operation is a
+gather.  The tables take 3.0 MB at the largest size under the cap, (5, 2);
+the kernel's other memory grows with the block size and n.  The orbit count
+compares the ids of a block of generating tuples with those of their PGL
+images; the complement count ANDs the subalgebra membership masks of a
+block of tuples.  A bit-mask closure for 2x2 matrices over F_2 stays as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ from .linalg import det_rows, kernel_basis, rref, subspace_intersection
 
 CENSUS_CAP = 2**26
 # A census uses at most one worker process per this many ambient tuples.
-# Measured on 2 cores, two workers lose at 2^16 tuples ((4,2,2): 0.068 s at
-# one worker, 0.091 s at two) and win from 2^18 ((2,3,2): 3.2 -> 1.7 s).
+# Measured on 2 cores with the id kernel, fresh processes, medians, one
+# worker -> two: (5,2,2) 0.332 -> 0.323 s (9 runs, a tie), (2,3,2) 0.783 ->
+# 0.507 s and (3,2,3) 0.490 -> 0.373 s (5 runs).  2^18 would put (2,3,2)
+# on one worker.
 TUPLES_PER_WORKER = 2**17
 
 
@@ -68,11 +74,14 @@ def _all_mats(q: int, n: int):
 # ---------------------------------------------------------------------------
 # batched span closure over F_q
 #
-# A block of m-tuples is decided at once.  Entries are field indices; every
-# array keeps the tuple axis last, so each per-entry slice is contiguous.
-# Field operations are gathers from flat tables indexed by (a << shift) | b.
+# A block of m-tuples is decided at once.  Every array keeps the tuple axis
+# last, so each per-entry slice is contiguous.  Entry operations are gathers
+# from flat tables indexed by (a << shift) | b; whole-matrix operations on
+# ids (_id_tables) are gathers indexed by a N + b.
 
 BLOCK = 4096  # m-tuples per kernel call; bounds the kernel's scratch memory
+ID_TABLE_MAX = 2**10  # most matrices q^(n^2) for the id kernel's N^2 tables
+SLAB = 2**12  # products per slab while the id tables are built
 
 
 @lru_cache(maxsize=None)
@@ -121,6 +130,60 @@ def _block_verdicts(q: int, n: int, m: int, lo: int, hi: int):
         yield comps, _generates_block(comps, q, n)
 
 
+@lru_cache(maxsize=None)
+def _id_tables(q: int, n: int):
+    """(N, P, S, D, coef, inv): the operations of M_n(F_q) on whole matrix
+    ids, N = q^(n^2), as int32 tables.
+
+    P[a N + b] is the id of A B, S[c N + a] that of c A, and D[a N + b]
+    that of A - B; D is None for even q, whose ids are bit-packed matrices
+    with A - B = a ^ b.  coef[j, a] is c N for the entry c of A at column
+    j, an offset into S, and inv[c] is c^-1 N.  No temporary exceeds about
+    1 MB: S and the first q^n rows of P and D are built SLAB products at a
+    time, and the other rows q^n at a time from earlier ones."""
+    import numpy as np
+
+    arrays = shift, _, sub, mul, inv = _field_arrays(q)
+    d = n * n
+    N = q ** d
+    mats = _digits(np.arange(N, dtype=np.int64), q, d, mul.dtype)  # (d, N)
+
+    def table(rows, op):
+        # op maps the (a, entries of b) of a slab to the entries of a op b,
+        # whose ids accumulate by Horner's rule
+        out = np.empty((rows, N), np.int32)
+        flat = out.reshape(-1)
+        for start in range(0, rows * N, SLAB):
+            k = np.arange(start, min(start + SLAB, rows * N))
+            acc = flat[start:start + len(k)]
+            acc[:] = 0
+            for e in op(k // N, mats[:, k % N]):
+                acc *= q
+                acc += e
+        return out
+
+    def grow(base, block):
+        # block(t, j) gives rows j w .. j w + w - 1 from row j and rows < w
+        out = np.empty((N, N), np.int32)
+        out[:w] = base
+        for j in range(1, N // w):
+            out[j * w:(j + 1) * w] = block(out, j)
+        return out.reshape(-1)
+
+    # A matrix id is w times the id of its first n - 1 rows, moved down a
+    # row, plus the id of its last row.  Row i of A B is (row i of A) B, so
+    # P[j w + l, b] = w P[j, b] + P[l, b] for l < w; D is split likewise.
+    w = q ** n
+    P = grow(table(w, lambda a, b: _products(mats[:, None, a], b[:, None], n,
+                                             arrays)[:, 0]),
+             lambda t, j: t[j] * w + t[:w])
+    S = table(q, lambda c, b: mul[(c << shift) | b]).reshape(-1)
+    D = None if q % 2 == 0 else grow(
+        table(w, lambda a, b: sub[(mats[:, a] << shift) | b]),
+        lambda t, j: (t[j, None, :N // w, None] * w + t[:w, None, :w]).reshape(w, N))
+    return N, P, S, D, mats.astype(np.int32) * N, inv.astype(np.int32) * N
+
+
 def _generates_block(comps, q: int, n: int):
     """Generation mask of a block of m-tuples of matrix ids, comps (m, B).
 
@@ -129,22 +192,32 @@ def _generates_block(comps, q: int, n: int):
     the generators, each later level inserts the products e g of the rows e
     the previous level added with every generator g; right products suffice
     by the lemma in generation.closure_generates.  A tuple stops when its
-    rank is n^2 or a level adds no row."""
+    rank is n^2 or a level adds no row.
+
+    The first axis of every array is the vector: one matrix id when
+    q^(n^2) <= ID_TABLE_MAX, so that field operations on whole matrices are
+    gathers from _id_tables, and the n^2 entries above that."""
     import numpy as np
 
-    shift, add, sub, mul, inv = _field_arrays(q)
     m, nt = comps.shape
     d = n * n
     out = np.zeros(nt, bool)
     if m == 0 or nt == 0:
         return out
-    gens = _digits(comps.reshape(-1), q, d, add.dtype).reshape(d, m, nt)
+    if q ** d <= ID_TABLE_MAX:
+        tables = _id_tables(q, n)
+        gens = comps.astype(np.int32)[None]
+        insert, products = _insert_ids, _products_ids
+    else:
+        tables = _field_arrays(q)
+        gens = _digits(comps.reshape(-1), q, d, tables[3].dtype).reshape(d, m, nt)
+        insert, products = _insert, _products
     which = np.arange(nt)
-    basis = np.zeros((d, d, nt), gens.dtype)  # entry, pivot column, tuple
+    basis = np.zeros((len(gens), d, nt), gens.dtype)  # vector, pivot column, tuple
     present = np.zeros((d, nt), bool)
     cand = gens.copy()
     for level in itertools.count():
-        added = _insert(cand, basis, present, shift, sub, mul, inv)
+        added = insert(cand, basis, present, tables)
         full = present.all(0)
         out[which[full]] = True
         keep = added.any(0) & ~full
@@ -156,10 +229,48 @@ def _generates_block(comps, q: int, n: int):
                 added[:, keep], gens[..., keep])
         # the generators span the rows that level 0 added
         front = gens if level == 0 else _frontier(basis, added)
-        cand = _products(front, gens, n, shift, add, mul)
+        cand = products(front, gens, n, tables)
 
 
-def _insert(cand, basis, present, shift, sub, mul, inv):
+def _insert_ids(cand, basis, present, tables):
+    """_insert on matrix ids, cand (1, K, B) and basis (1, d, B): per pivot
+    column, a gather for the coefficients, then one to scale the new rows
+    and two (one and a XOR for even q) to eliminate."""
+    import numpy as np
+
+    N, _, S, D, coef, inv = tables
+    cand, rows = cand[0], basis[0]
+    d, nt = rows.shape
+    cols = np.arange(nt)
+    # any nonzero candidate can be the new row: the last one is a maximum
+    # over the candidate axis, which numpy reduces much faster than argmax
+    index = np.arange(len(cand), dtype=np.min_scalar_type(len(cand)))[:, None]
+    added = np.zeros((d, nt), bool)
+    for c in range(d):
+        x = coef[c].take(cand)
+        nz = x != 0
+        new = nz.any(0) & ~present[c]
+        if new.any():
+            k = (nz * index).max(0)
+            row = S.take(inv.take(x[k, cols] // N) + cand[k, cols])
+            rows[c] = np.where(new, row, rows[c])
+            present[c] |= new
+            added[c] = new
+        if c + 1 < d and present[c].any():
+            # an absent row is id 0, whose multiples subtract nothing
+            scaled = S.take(x + rows[c])
+            cand = cand ^ scaled if D is None else D.take(cand * N + scaled)
+    return added
+
+
+def _products_ids(front, gens, n: int, tables):
+    """e g for every frontier id e and generator id g: (1, F m, B)."""
+    N, P = tables[:2]
+    ids = P.take(front[0, :, None] * N + gens[0, None])
+    return ids.reshape(1, -1, front.shape[-1])
+
+
+def _insert(cand, basis, present, tables):
     """Eliminate candidate rows (d, K, B) into the echelon bases; both are
     overwritten.
 
@@ -167,6 +278,7 @@ def _insert(cand, basis, present, shift, sub, mul, inv):
     returns the (d, B) mask of pivot columns that got a new row."""
     import numpy as np
 
+    shift, _, sub, mul, inv = tables
     d, _, nt = cand.shape
     cols = np.arange(nt)
     added = np.zeros((d, nt), bool)
@@ -198,10 +310,11 @@ def _frontier(basis, added):
     return np.where(np.take_along_axis(added, order, axis=0), rows, 0)
 
 
-def _products(front, gens, n: int, shift, add, mul):
+def _products(front, gens, n: int, tables):
     """e g for every frontier row e and generator g: (d, F m, B)."""
     import numpy as np
 
+    shift, add, _, mul, _ = tables
     d, f, nt = front.shape
     m = gens.shape[1]
     out = np.empty((d, f, m, nt), front.dtype)
@@ -400,10 +513,10 @@ def _pgl_conj_perms(q: int, n: int):
     import numpy as np
 
     F = field_of_order(q)
-    shift, add, _, mul, _ = _field_arrays(q)
+    arrays = _field_arrays(q)
     d = n * n
     N = q ** d
-    mats = _digits(np.arange(N, dtype=np.int64), q, d, add.dtype)  # (d, N)
+    mats = _digits(np.arange(N, dtype=np.int64), q, d, arrays[3].dtype)  # (d, N)
     lead = mats[(mats != 0).argmax(0), np.arange(N)]
     entries = mats.T.tolist()
     reps = [i for i in np.flatnonzero(lead == 1).tolist()
@@ -412,8 +525,8 @@ def _pgl_conj_perms(q: int, n: int):
         raise InvariantError("PGL permutation count disagrees with its order; bug")
     w = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
     g, every = mats[:, reps, None], mats[:, :, None]
-    left = (w @ _products(g, every, n, shift, add, mul)[..., 0]).reshape(-1, N)
-    right = (w @ _products(every, g, n, shift, add, mul)[..., 0]).reshape(N, -1)
+    left = (w @ _products(g, every, n, arrays)[..., 0]).reshape(-1, N)
+    right = (w @ _products(every, g, n, arrays)[..., 0]).reshape(N, -1)
     perms = np.take_along_axis(np.argsort(left, 1), right.T, 1)
     perms.flags.writeable = False
     return perms

@@ -219,6 +219,83 @@ def test_batched_kernel_matches_f2_bit_masks():
     assert [bool(v) for v in got] == [_generates_f2(p) for p in pairs]
 
 
+ID_SIZES = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3)]  # q^(n^2) <= ID_TABLE_MAX
+
+
+def _entry_table(op, left, right, q):
+    """op (a nested-tuple table of census._tables) applied entrywise to
+    every pair of rows of left (A, d) and right (B, d): ids, (A, B)."""
+    t = np.array(op)
+    w = q ** np.arange(left.shape[1] - 1, -1, -1)
+    return t[left[:, None], right[None]] @ w
+
+
+@pytest.mark.parametrize("q,n", ID_SIZES)
+def test_id_tables_match_entry_arithmetic(q, n):
+    assert q ** (n * n) <= census.ID_TABLE_MAX
+    N, P, S, D, coef, inv = census._id_tables(q, n)
+    add, sub, mul, inv_t = census._tables(q)
+    mats = np.array(census._all_mats(q, n))  # (N, d), row-major entries
+    assert N == len(mats)
+    add_a, mul_a = np.array(add), np.array(mul)
+    prod = np.zeros((N, N, n * n), np.int64)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        term = mul_a[mats[:, None, i * n + k], mats[None, :, k * n + j]]
+        prod[..., i * n + j] = add_a[prod[..., i * n + j], term]
+    assert np.array_equal(P.reshape(N, N), prod @ q ** np.arange(n * n - 1, -1, -1))
+    scalars = np.arange(q)[:, None].repeat(n * n, 1)
+    assert np.array_equal(S.reshape(q, N), _entry_table(mul, scalars, mats, q))
+    diff = _entry_table(sub, mats, mats, q)
+    if q % 2:
+        assert np.array_equal(D.reshape(N, N), diff)
+    else:
+        assert D is None
+        assert np.array_equal(np.arange(N)[:, None] ^ np.arange(N), diff)
+    assert np.array_equal(coef, mats.T * N)
+    assert [inv[c] for c in range(1, q)] == [inv_t[c] * N for c in range(1, q)]
+
+
+@pytest.mark.parametrize("q,n", ID_SIZES)
+def test_id_and_entry_kernels_agree(q, n, monkeypatch):
+    rng = random.Random(7000 + 10 * q + n)
+    blocks = []
+    for m in range(4):
+        tuples = [[_random_ids(rng, q, n, triangular=t % 3 == 0)
+                   for _ in range(m)] for t in range(200)]
+        blocks.append(np.array(tuples, np.int64).reshape(len(tuples), m).T)
+    by_ids = [_generates_block(comps, q, n) for comps in blocks]
+    monkeypatch.setattr(census, "ID_TABLE_MAX", 0)
+    by_entries = [_generates_block(comps, q, n) for comps in blocks]
+    for ids, entries in zip(by_ids, by_entries):
+        assert np.array_equal(ids, entries)
+    assert by_ids[2].any() and not by_ids[2].all()
+
+
+@pytest.mark.parametrize("q,n", ID_SIZES)
+def test_id_tables_build_in_bounded_scratch(q, n):
+    import tracemalloc
+
+    census._field_arrays(q)
+    census._id_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        census._id_tables(q, n)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - current <= 2**20
+
+
+def test_no_id_tables_above_the_cap(monkeypatch):
+    def refuse(q, n):
+        raise AssertionError(f"id tables built for q^(n^2) = {q ** (n * n)}")
+
+    monkeypatch.setattr(census, "_id_tables", refuse)
+    comps = np.array([[1, 7 ** 4 - 1], [2400, 5]], np.int64)
+    assert 7 ** 4 > census.ID_TABLE_MAX
+    assert len(_generates_block(comps, 7, 2)) == 2
+
+
 def test_resolve_threads(monkeypatch):
     monkeypatch.delenv("MATGEN_THREADS", raising=False)
     assert resolve_threads(3) == 3
