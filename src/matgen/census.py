@@ -279,23 +279,25 @@ def _insert(cand, basis, present, tables):
     import numpy as np
 
     shift, _, sub, mul, inv = tables
-    d, _, nt = cand.shape
+    d, k, nt = cand.shape
     cols = np.arange(nt)
+    # the last nonzero candidate, picked as in _insert_ids
+    index = np.arange(k, dtype=np.min_scalar_type(k))[:, None]
     added = np.zeros((d, nt), bool)
     for c in range(d):
         col = cand[c]
         nz = col != 0
         new = nz.any(0) & ~present[c]
         if new.any():
-            pick = cand[c:, nz.argmax(0), cols]
-            row = mul[(inv[pick[0]] << shift)[None] | pick]
+            pick = cand[c:, (nz * index).max(0), cols]
+            row = mul.take((inv.take(pick[0]) << shift)[None] | pick)
             basis[c:, c] = np.where(new, row, basis[c:, c])
             present[c] |= new
             added[c] = new
         if c + 1 < d and present[c].any():
             # column c of the candidates is never read again
-            prod = mul[(col << shift)[None] | basis[c + 1:, c, None]]
-            cand[c + 1:] = sub[(cand[c + 1:] << shift) | prod]
+            prod = mul.take((col << shift)[None] | basis[c + 1:, c, None])
+            cand[c + 1:] = sub.take((cand[c + 1:] << shift) | prod)
     return added
 
 
@@ -321,9 +323,9 @@ def _products(front, gens, n: int, tables):
     es, g = front[:, :, None] << shift, gens[:, None]
     for i in range(n):
         for j in range(n):
-            acc = mul[es[i * n] | g[j]]
+            acc = mul.take(es[i * n] | g[j])
             for k in range(1, n):
-                acc = add[(acc << shift) | mul[es[i * n + k] | g[k * n + j]]]
+                acc = add.take((acc << shift) | mul.take(es[i * n + k] | g[k * n + j]))
             out[i * n + j] = acc
     return out.reshape(d, f * m, nt)
 

@@ -385,44 +385,70 @@ def conjugate_mod_p_bruteforce(tuple_a, tuple_b, p: int) -> Optional[Mat]:
 
     Returns the lexicographically first C = [[x1, x2], [x3, x4]] in
     GL_2(F_p) with C A_i = B_i C (mod p) for every i, or None; independent
-    of the linear algebra used elsewhere.
+    of the linear algebra used elsewhere.  Both tuples must be integer
+    2x2 tuples of the same length.
 
     Each entry of C A_i - B_i C is a linear form that splits as
-    h(x1, x2) - l(x3, x4).  The sweep evaluates h and l on all p^2 values of
-    their half and packs the residues of several equations into one base-p
-    code per half, so a cell (x1, x2 | x3, x4) of the p^2 x p^2 grid solves
-    those equations exactly when its two codes are equal.  Every cell is
-    compared for every equation and masked by det C != 0, so the search
-    stays exhaustive; row-major order on the grid is lexicographic order on
+    h(x1, x2) - l(x3, x4).  The sweep evaluates every h and l on all p^2
+    values of their half at once, and packs the residues of up to per_code
+    equations into one base-p code per half (codes below 2^62).  A cell
+    (x1, x2 | x3, x4) of the p^2 x p^2 grid solves every equation exactly
+    when its two halves agree on every code.  When a single code holds all
+    equations and stays below 2^31, the codes themselves are compared, in
+    the narrowest unsigned type that holds them.  Otherwise each code is
+    replaced by its rank among the 2 p^2 codes of both halves, runs are
+    combined as rank_prev 2 p^2 + rank and ranked again, and the ranks are
+    compared (uint16 for p <= 31): equal ranks mean equal codes, so the
+    comparison is the same.  Every cell is compared, once, and masked by
+    det C != 0, with no early exit and no sampling, so the search stays
+    exhaustive; row-major order on the grid is lexicographic order on
     (x1, x2, x3, x4), so the first surviving cell is the first solution.
     """
     if tuple_a.n != 2 or tuple_b.n != 2:
         raise DomainError("brute force sweep handles 2x2 tuples")
+    if tuple_a.domain != ZZ or tuple_b.domain != ZZ or tuple_a.m != tuple_b.m:
+        raise DomainError("the sweep takes integer tuples of the same length")
     if not is_prime(p):
         raise DomainError(f"the sweep needs a prime, not {p}")
     order = (p * p - 1) * (p * p - p)
     if order > BRUTEFORCE_GROUP_CAP:
         raise DomainError(f"|GL_2(F_{p})| = {order} exceeds the sweep cap")
+    import numpy as np
+
     y1, y2, ok = _gl2_grid(p)
-    # (h1, h2, l1, l2): h1 x1 + h2 x2 = l1 x3 + l2 x4 (mod p)
+    half = p * p
+    # (h1, h2 | l1, l2): h1 x1 + h2 x2 = l1 x3 + l2 x4 (mod p)
     forms = []
     for a, b in zip(tuple_a.mats, tuple_b.mats):
         (a1, a2), (a3, a4) = a.rows
         (b1, b2), (b3, b4) = b.rows
-        forms += [(a1 - b1, a3, b2, 0), (a2, a4 - b1, 0, b2),
-                  (b3, 0, a1 - b4, a3), (0, b3, a2, a4 - b4)]
+        forms += [[x % p for x in form] for form in (
+            (a1 - b1, a3, b2, 0), (a2, a4 - b1, 0, b2),
+            (b3, 0, a1 - b4, a3), (0, b3, a2, a4 - b4))]
+    # row f: h_f on the first half, then l_f on the second; h1 y1 + h2 y2 is
+    # below 2 p^2, so the residues are taken in the narrowest type holding that
+    width = np.min_scalar_type(2 * (p - 1) ** 2)
+    coef = np.array(forms, dtype=width).reshape(-1, 2, 2, 1)
+    y = np.array((y1, y2), dtype=width)
+    res = ((coef[:, :, 0] * y[0] + coef[:, :, 1] * y[1]) % p).reshape(-1, 2 * half)
     per_code = 1
     while p ** (per_code + 1) <= _CODE_LIMIT:
         per_code += 1
-    for start in range(0, len(forms), per_code):
-        hi = lo = 0
-        for h1, h2, l1, l2 in forms[start:start + per_code]:
-            hi = hi * p + (h1 % p * y1 + h2 % p * y2) % p
-            lo = lo * p + (l1 % p * y1 + l2 % p * y2) % p
-        ok = ok & (hi[:, None] == lo[None, :])
-    idx = int(ok.argmax())
-    if not ok.flat[idx]:
+    codes = [p ** np.arange(len(run), dtype=np.int64) @ run
+             for run in (res[s:s + per_code] for s in range(0, len(forms), per_code))]
+    if len(codes) == 1 and p ** len(forms) < 1 << 31:
+        key = codes[0].astype(np.min_scalar_type(p ** len(forms) - 1))
+    else:
+        key = np.unique(codes[0], return_inverse=True)[1]
+        for code in codes[1:]:
+            rank = np.unique(code, return_inverse=True)[1]
+            key = np.unique(key * (2 * half) + rank, return_inverse=True)[1]
+        key = key.astype(np.min_scalar_type(2 * half))
+    hit = key[:half, None] == key[None, half:]
+    hit &= ok
+    idx = int(hit.argmax())
+    if not hit.flat[idx]:
         return None
-    (x1, x2), (x3, x4) = (divmod(half, p) for half in divmod(idx, p * p))
+    (x1, x2), (x3, x4) = (divmod(h, p) for h in divmod(idx, half))
     f = build_ext_field(p, 1)
     return mat(f, [[x1, x2], [x3, x4]])

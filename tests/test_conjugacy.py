@@ -506,6 +506,72 @@ def test_sweep_outputs_pinned():
         "cebfbaa4f649cb0138e7004bf0176b4d147f7760b07b79251f853c5ef9616503"
 
 
+def _conjugated_case(rng, m):
+    """A seeded integer m-tuple and its conjugate by a unimodular matrix."""
+    a = rand_int_tuple(rng, m)
+    s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+    u, u_inv = [[1 + s * t, s], [t, 1]], [[1, -s], [-t, 1 + s * t]]
+    b = mat_tuple([mat(ZZ, _mul2(_mul2(u, x.rows), u_inv)) for x in a.mats])
+    return a, b
+
+
+def test_sweep_comparison_paths_match_plain_search():
+    # at p = 17 the m = 1 codes (17^4 < 2^31) are compared directly, the
+    # m = 2 codes (17^8 > 2^31) by rank, and the m = 4 codes (16 equations,
+    # 15 per code) by ranks combined over two runs.  The pairs are conjugate,
+    # so the plain search stops at the first conjugator instead of scanning
+    # all 17^4 cells; every cell before it must fail on the sweep as well.
+    rng = random.Random(17)
+    for m in (1, 2, 4):
+        for _ in range(2):
+            ta, tb = _conjugated_case(rng, m)
+            want = _lex_first_conjugator(ta, tb, 17)
+            assert want is not None
+            assert conjugate_mod_p_bruteforce(ta, tb, 17).rows == want
+
+
+def test_sweep_memory_stays_below_two_bool_grids():
+    # one p^4 bool grid per pass, no int64 grid (8 p^4 bytes)
+    import tracemalloc
+
+    p = 31
+    ta, tb = _conjugated_case(random.Random(3), 4)
+    conjugate_mod_p_bruteforce(ta, tb, p)  # the cached candidate grid
+    tracemalloc.start()
+    try:
+        conjugate_mod_p_bruteforce(ta, tb, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * p ** 4 + 64 * 1024
+
+
+def test_sweep_refuses_tuples_it_cannot_read():
+    f4, f5 = field_of_order(4), PrimeField(5)
+    e11, e12 = unit_mat(ZZ, 2, 0, 0), unit_mat(ZZ, 2, 0, 1)
+    # a second matrix without a partner
+    with pytest.raises(DomainError):
+        conjugate_mod_p_bruteforce(mat_tuple([e11, e12]), mat_tuple([e11]), 5)
+    # F_4 entries read mod 2
+    omega_e11 = smul(f4.gen(), unit_mat(f4, 2, 0, 0))
+    with pytest.raises(DomainError):
+        conjugate_mod_p_bruteforce(mat_tuple([omega_e11]),
+                                   mat_tuple([zero_mat(f4, 2)]), 2)
+    # F_5 entries read mod 3
+    t5 = mat_tuple([mat(f5, [[1, 2], [3, 4]])])
+    with pytest.raises(DomainError):
+        conjugate_mod_p_bruteforce(t5, t5, 3)
+
+
+def test_sweep_reduces_large_entries_exactly():
+    # entries past int64 are reduced as integers: 2^70 + 1 is 2 mod 3 and
+    # 0 mod 5, where diag(0, 1) and diag(2, 1) are not conjugate
+    big = mat_tuple([mat(ZZ, [[2 ** 70 + 1, 0], [0, 1]])])
+    two = mat_tuple([mat(ZZ, [[2, 0], [0, 1]])])
+    assert conjugate_mod_p_bruteforce(big, two, 3).rows == ((1, 0), (0, 1))
+    assert conjugate_mod_p_bruteforce(big, two, 5) is None
+
+
 def test_certificate_outputs_pinned():
     # digest of the certificates of the sweep cases and 40 seeded pairs,
     # each witness matrix replaced by its presence; taken when n = 2 mod-p
