@@ -2,11 +2,14 @@
 
 Exhaustive counting of generating m-tuples of n x n matrices over F_q,
 PGL-orbit counting by canonical representatives, the maximal-subalgebra
-catalog of M_2(F_q) with the complement-count oracle, and exact evaluators
-for every closed formula and bound used downstream.
+catalog of M_2(F_q), built from its classification (the q + 1 stabilizers
+of projective lines and one commutative plane per irreducible monic
+quadratic), with the complement-count oracle, and exact evaluators for
+every closed formula and bound used downstream.
 
-The enumeration engine numbers matrices by integer ids over a table-driven
-field.  Every tuple is tested, a block of tuples per numpy call.  The brute
+The enumeration engine numbers matrices by integer ids, their entries as
+base-q digits, over flat numpy tables of field_of_order(q)'s operations.
+Every tuple is tested, a block of tuples per numpy call.  The brute
 force decides a block with a batched span closure: per-tuple echelon bases,
 grown level by level from the products of the newly added rows with the
 generators until a tuple reaches rank n^2 or a level adds nothing.  Up to
@@ -47,31 +50,6 @@ TUPLES_PER_WORKER = 2**17
 
 
 # ---------------------------------------------------------------------------
-# operation tables of F_q for the enumeration loops
-
-
-@lru_cache(maxsize=None)
-def _tables(q: int):
-    """(add, sub, mul, inv) of field_of_order(q) as nested tuples indexed by
-    elements; inv[0] is None.  The subalgebra catalog's loops index these
-    rather than call the field's methods, and _field_arrays flattens them
-    into the numpy tables of the census kernels."""
-    F = field_of_order(q)
-
-    def table(op):
-        return tuple(tuple(op(a, b) for b in range(q)) for a in range(q))
-
-    return (table(F.add), table(F.sub), table(F.mul),
-            (None,) + tuple(F.inv(a) for a in range(1, q)))
-
-
-@lru_cache(maxsize=None)
-def _all_mats(q: int, n: int):
-    """All n x n matrices over F_q as entry tuples, in lexicographic order."""
-    return tuple(itertools.product(range(q), repeat=n * n))
-
-
-# ---------------------------------------------------------------------------
 # batched span closure over F_q
 #
 # A block of m-tuples is decided at once.  Every array keeps the tuple axis
@@ -86,24 +64,26 @@ SLAB = 2**12  # products per slab while the id tables are built
 
 @lru_cache(maxsize=None)
 def _field_arrays(q: int):
-    """(shift, add, sub, mul, inv) of _tables(q) as flat numpy tables."""
+    """(shift, add, sub, mul, inv) of field_of_order(q) as flat numpy tables:
+    a op b at (a << shift) | b, and a^-1 at a (0 at 0)."""
     import numpy as np
 
     shift = max(1, (q - 1).bit_length())
     if shift > 8:
         raise DomainError("the batched census supports q <= 256")
-    add_t, sub_t, mul_t, inv_t = _tables(q)
+    F = field_of_order(q)
     dtype = np.uint8 if shift <= 4 else np.uint16
+    pairs = list(itertools.product(range(q), repeat=2))
+    index = [(a << shift) | b for a, b in pairs]
 
-    def flat(table):
+    def flat(op):
         out = np.zeros(1 << (2 * shift), dtype)
-        for a in range(q):
-            out[a << shift:(a << shift) + q] = table[a]
+        out[index] = [op(a, b) for a, b in pairs]
         return out
 
     inv = np.zeros(1 << shift, dtype)
-    inv[1:q] = inv_t[1:]
-    return shift, flat(add_t), flat(sub_t), flat(mul_t), inv
+    inv[1:q] = [F.inv(a) for a in range(1, q)]
+    return shift, flat(F.add), flat(F.sub), flat(F.mul), inv
 
 
 def _digits(ids, base: int, count: int, dtype):
@@ -187,8 +167,8 @@ def _id_tables(q: int, n: int):
 def _generates_block(comps, q: int, n: int):
     """Generation mask of a block of m-tuples of matrix ids, comps (m, B).
 
-    A matrix id's base-q digits are its entries in row-major order, which is
-    the order of _all_mats.  Span closure as a fixed point: level 0 inserts
+    A matrix id's base-q digits, most significant first, are its entries in
+    row-major order.  Span closure as a fixed point: level 0 inserts
     the generators, each later level inserts the products e g of the rows e
     the previous level added with every generator g; right products suffice
     by the lemma in generation.closure_generates.  A tuple stops when its
@@ -576,8 +556,8 @@ def gen_value_2x2(q: int, m: int) -> int:
     the m-tuple census divided by |PGL_2(F_q)|.
     """
     _require_field(q)
-    if m < 2:
-        raise DomainError("formula holds for m >= 2")
+    if m < 1:
+        raise DomainError("formula holds for m >= 1")
     _require_digits(q, 4 * m)
     num = q ** (4 * m - 1) + q ** (2 * m) - q ** (3 * m) - q ** (3 * m - 1)
     den = q * q - 1
@@ -593,8 +573,8 @@ def gen_numerator_2x2(q: int, m: int) -> int:
     q^{4m} - q^m - (q+1)(q^{3m} - q^m) + q(q^{2m} - q^m).
     """
     _require_field(q)
-    if m < 2:
-        raise DomainError("formula holds for m >= 2")
+    if m < 1:
+        raise DomainError("formula holds for m >= 1")
     _require_digits(q, 4 * m)
     return (q ** (4 * m) - q**m
             - (q + 1) * (q ** (3 * m) - q**m)
@@ -723,50 +703,31 @@ def enumerate_maximal_subalgebras(q: int) -> SubalgebraCatalog:
     """Classify the maximal subalgebras of M_2(F_q), q <= 16.
 
     Noncommutative: stabilizers of the q+1 projective lines.  Commutative:
-    the planes spanned by I and a matrix with irreducible characteristic
-    polynomial, deduplicated by their reduced row echelon basis.  The
-    catalog invariants are checked before returning.
+    the planes span(I, A) with A's characteristic polynomial irreducible.
+    Each holds exactly one companion matrix [[0, 1], [c, d]], of
+    t^2 - d t - c, so its reduced row echelon basis is
+    ((1, 0, 0, 1), (0, 1, c, d)); the planes are listed in (c, d) order over
+    the irreducible monic quadratics.  The catalog invariants are checked
+    before returning.
     """
     if q > 16:
         raise DomainError("catalog enumeration is capped at q = 16")
     F = field_of_order(q)
-    add, sub, mul, _ = _tables(q)
-    neg = sub[0]
-    points = [(1, s) for s in range(q)] + [(0, 1)]
     noncomm = []
-    for v0, v1 in points:
-        row = (mul[v0][v1], mul[v1][v1], neg[mul[v0][v0]], neg[mul[v0][v1]])
+    for v0, v1 in [(1, s) for s in range(q)] + [(0, 1)]:
+        row = (F.mul(v0, v1), F.mul(v1, v1),
+               F.neg(F.mul(v0, v0)), F.neg(F.mul(v0, v1)))
         basis, _ = rref(kernel_basis([row], F, ncols=4), F)
         noncomm.append(((v0, v1), tuple(basis)))
-
-    ident = (1, 0, 0, 1)
-    comm = {}
-    irr_count = 0
-    for mm in _all_mats(q, 2):
-        tr = add[mm[0]][mm[3]]
-        dt = det_rows((mm[:2], mm[2:]), F)
-        # t^2 - tr*t + det has no roots in F_q
-        if any(add[sub[mul[x][x]][mul[tr][x]]][dt] == 0
-               for x in range(q)):
-            continue
-        irr_count += 1
-        basis, _ = rref([ident, mm], F)
-        comm.setdefault(tuple(basis), 0)
-        comm[tuple(basis)] += 1
-    # (q^2-q)/2 irreducible quadratics, q^2-q matrices per polynomial,
-    # and q^2-q matrices inside each plane spanned with the identity
-    if irr_count != (q * q - q) ** 2 // 2:
-        raise InvariantError("wrong count of matrices with an irreducible "
-                             "characteristic polynomial; bug")
-    if any(c != q * q - q for c in comm.values()):
-        raise InvariantError("wrong count of matrices in a commutative plane; bug")
-
-    scal_basis, _ = rref([ident], F)
+    # t^2 - d t - c has a root x in F_q exactly when c = x^2 - d x
+    reducible = [{F.sub(F.mul(x, x), F.mul(d, x)) for x in range(q)}
+                 for d in range(q)]
     catalog = SubalgebraCatalog(
         q=q,
         noncommutative=tuple(noncomm),
-        commutative=tuple(sorted(comm)),
-        scalars=tuple(scal_basis),
+        commutative=tuple(((1, 0, 0, 1), (0, 1, c, d)) for c in range(q)
+                          for d in range(q) if c not in reducible[d]),
+        scalars=((1, 0, 0, 1),),
     )
     _check_catalog(catalog, F)
     return catalog
@@ -809,16 +770,15 @@ def _check_catalog(cat: SubalgebraCatalog, F):
 
 
 def _span_members(basis, q: int):
-    """All matrix ids in the span of echelonized basis rows."""
-    add, _, mul, _ = _tables(q)
-    mats_index = {mm: i for i, mm in enumerate(_all_mats(q, 2))}
+    """All 2x2 matrix ids in the span of echelonized basis rows."""
+    F = field_of_order(q)
     members = set()
     for coeffs in itertools.product(range(q), repeat=len(basis)):
         vec = [0, 0, 0, 0]
         for c, row in zip(coeffs, basis):
             if c:
-                vec = [add[x][mul[c][y]] for x, y in zip(vec, row)]
-        members.add(mats_index[tuple(vec)])
+                vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, row)]
+        members.add(((vec[0] * q + vec[1]) * q + vec[2]) * q + vec[3])
     return members
 
 

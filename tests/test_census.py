@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import random
 import time
@@ -58,6 +59,11 @@ def test_gen_value_2x2_values():
         assert gen_value_2x2(q, 3) == (q - 1) * (q * q + q + 1) * q**6
         assert gen_value_2x2(q, 4) == \
             (q - 1) * (q * q + q + 1) * (q * q + 1) * q**8
+        # one matrix never generates; at m = 0 the value would need 1/q
+        assert gen_value_2x2(q, 1) == gen_numerator_2x2(q, 1) == 0
+        for fn in (gen_value_2x2, gen_numerator_2x2):
+            with pytest.raises(DomainError, match="m >= 1"):
+                fn(q, 0)
 
 
 def test_formula_numerator_and_inclusion_exclusion_steps():
@@ -222,9 +228,26 @@ def test_batched_kernel_matches_f2_bit_masks():
 ID_SIZES = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3)]  # q^(n^2) <= ID_TABLE_MAX
 
 
+def _field_tables(q):
+    """(add, sub, mul, inv) of field_of_order(q) as nested lists indexed by
+    elements; inv[0] is None."""
+    F = field_of_order(q)
+
+    def table(op):
+        return [[op(a, b) for b in range(q)] for a in range(q)]
+
+    return (table(F.add), table(F.sub), table(F.mul),
+            [None] + [F.inv(a) for a in range(1, q)])
+
+
+def _all_mats(q, n):
+    """Every n x n matrix over F_q as a row-major entry tuple, in id order."""
+    return list(itertools.product(range(q), repeat=n * n))
+
+
 def _entry_table(op, left, right, q):
-    """op (a nested-tuple table of census._tables) applied entrywise to
-    every pair of rows of left (A, d) and right (B, d): ids, (A, B)."""
+    """op (a nested table of _field_tables) applied entrywise to every pair
+    of rows of left (A, d) and right (B, d): ids, (A, B)."""
     t = np.array(op)
     w = q ** np.arange(left.shape[1] - 1, -1, -1)
     return t[left[:, None], right[None]] @ w
@@ -234,8 +257,8 @@ def _entry_table(op, left, right, q):
 def test_id_tables_match_entry_arithmetic(q, n):
     assert q ** (n * n) <= census.ID_TABLE_MAX
     N, P, S, D, coef, inv = census._id_tables(q, n)
-    add, sub, mul, inv_t = census._tables(q)
-    mats = np.array(census._all_mats(q, n))  # (N, d), row-major entries
+    add, sub, mul, inv_t = _field_tables(q)
+    mats = np.array(_all_mats(q, n))  # (N, d), row-major entries
     assert N == len(mats)
     add_a, mul_a = np.array(add), np.array(mul)
     prod = np.zeros((N, N, n * n), np.int64)
@@ -253,6 +276,23 @@ def test_id_tables_match_entry_arithmetic(q, n):
         assert np.array_equal(np.arange(N)[:, None] ^ np.arange(N), diff)
     assert np.array_equal(coef, mats.T * N)
     assert [inv[c] for c in range(1, q)] == [inv_t[c] * N for c in range(1, q)]
+
+
+def test_field_arrays_match_the_field():
+    # every pair up to q = 64, 2000 seeded pairs above; the entry kernel
+    # reads these tables at every size above ID_TABLE_MAX
+    rng = random.Random(11)
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81, 121, 125, 169, 251):
+        F = field_of_order(q)
+        shift, add, sub, mul, inv = census._field_arrays(q)
+        pairs = (itertools.product(range(q), repeat=2) if q <= 64 else
+                 [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)])
+        for a, b in pairs:
+            k = (a << shift) | b
+            assert (add[k], sub[k], mul[k]) == \
+                (F.add(a, b), F.sub(a, b), F.mul(a, b)), (q, a, b)
+        assert inv[0] == 0
+        assert [int(x) for x in inv[1:q]] == [F.inv(a) for a in range(1, q)]
 
 
 @pytest.mark.parametrize("q,n", ID_SIZES)
@@ -431,17 +471,46 @@ def test_catalog_cap():
         enumerate_maximal_subalgebras(17)
 
 
-def test_catalog_count_mismatch_raises_invariant_error(monkeypatch):
-    # one irreducible matrix ([[0, 1], [1, 1]], t^2 + t + 1 over F_2) seen
-    # twice breaks the count of irreducible matrices
-    all_mats = census._all_mats
+def _commutative_planes_by_scan(q):
+    """The commutative maximal subalgebras found by scanning all q^4
+    matrices: every A whose characteristic polynomial t^2 - tr t + det has
+    no root, deduplicated by the RREF of [I, A]; each plane's count of such
+    matrices comes along."""
+    F = field_of_order(q)
+    planes = {}
+    for a, b, c, d in itertools.product(range(q), repeat=4):
+        tr = F.add(a, d)
+        dt = det_rows(((a, b), (c, d)), F)
+        if any(F.add(F.sub(F.mul(x, x), F.mul(tr, x)), dt) == 0
+               for x in range(q)):
+            continue
+        basis, _ = rref([(1, 0, 0, 1), (a, b, c, d)], F)
+        planes[tuple(basis)] = planes.get(tuple(basis), 0) + 1
+    return planes
 
-    def with_duplicate(q, n):
-        return all_mats(q, n) + ((0, 1, 1, 1),)
 
-    monkeypatch.setattr(census, "_all_mats", with_duplicate)
-    with pytest.raises(InvariantError, match="irreducible"):
-        enumerate_maximal_subalgebras(2)
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_catalog_matches_the_matrix_scan(q):
+    planes = _commutative_planes_by_scan(q)
+    # (q^2 - q)/2 irreducible quadratics with q^2 - q matrices each, and
+    # q^2 - q of those matrices inside each plane spanned with the identity
+    assert sum(planes.values()) == (q * q - q) ** 2 // 2
+    assert set(planes.values()) == {q * q - q}
+    assert enumerate_maximal_subalgebras(q).commutative == tuple(sorted(planes))
+
+
+def test_check_catalog_refuses_a_bad_commutative_plane():
+    F = field_of_order(3)
+    cat = enumerate_maximal_subalgebras(3)
+    planes = cat.commutative
+    # t^2 - 1 splits over F_3: the plane of [[0, 1], [1, 0]] fixes both of
+    # its eigenlines, so it lies inside their stabilizers
+    split = ((1, 0, 0, 1), (0, 1, 1, 0))
+    for bad, why in ((planes[:-1] + planes[:1], "distinct commutative"),
+                     (planes[:-1] + (split,), "mixed intersections")):
+        with pytest.raises(InvariantError, match=why):
+            census._check_catalog(dataclasses.replace(cat, commutative=bad), F)
+    census._check_catalog(cat, F)
 
 
 def test_no_assert_statements_in_the_package():
@@ -487,7 +556,7 @@ def _pgl_conj_perms_reference(q, n):
     """The PGL permutation table one matrix at a time: g^-1 from an RREF,
     two products of entry tuples and a dict from matrices to ids."""
     F = field_of_order(q)
-    add, _, mul, inv = census._tables(q)
+    add, _, mul, inv = _field_tables(q)
 
     def matmul(x, y):
         out = []
@@ -506,7 +575,7 @@ def _pgl_conj_perms_reference(q, n):
         assert r == n
         return tuple(basis[i][n + j] for i in range(n) for j in range(n))
 
-    mats = census._all_mats(q, n)
+    mats = _all_mats(q, n)
     index = {mm: i for i, mm in enumerate(mats)}
     reps = {}
     for mm in mats:
@@ -565,7 +634,7 @@ def test_complement_brute_force_and_formula_agree():
                  (3, 2), (4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (5, 2)):
         want = count_generating_bruteforce(q, 2, m).generating_count
         assert count_via_complement(q, m) == want
-        if m >= 2:
+        if m >= 1:
             assert gen_numerator_2x2(q, m) == want
     # several blocks of prefixes each, up to the cap at q = 2
     for q, m in ((3, 3), (4, 3), (2, 6)):

@@ -34,6 +34,21 @@ def test_count_all_paths_agree(capsys):
     assert "16" in out and "96" in out and "agree" in out
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_count_one_generator_all_paths_agree(q, capsys):
+    # one matrix spans a commutative algebra: every path counts 0
+    assert main(["--json", "count", "--q", str(q), "--m", "1"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["agree"] and data["mode"] == "all"
+    assert data["brute"]["generating_count"] == data["complement"] == 0
+    assert data["formula"] == {"gen": 0, "numerator": 0}
+
+
+def test_bound_one_generator(capsys):
+    assert main(["bound", "--q", "2", "--m", "1"]) == 0
+    assert "gen = 0; strictly below bound: True" in capsys.readouterr().out
+
+
 def test_count_brute_only(capsys):
     assert main(["count", "--q", "2", "--n", "2", "--m", "3",
                  "--mode", "brute"]) == 0
