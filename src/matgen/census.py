@@ -31,7 +31,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -468,6 +467,8 @@ def count_generating_bruteforce(q: int, n: int, m: int,
         nchunks = min(N, workers * 4)
         bounds = [(N * i) // nchunks for i in range(nchunks + 1)]
         jobs = [(q, n, m, bounds[i], bounds[i + 1]) for i in range(nchunks)]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             total = sum(pool.map(_count_worker, jobs))
     elapsed = time.perf_counter() - start
@@ -552,17 +553,18 @@ def orbit_count(q: int, n: int, m: int) -> int:
 def gen_value_2x2(q: int, m: int) -> int:
     """Largest k such that M_2(F_q)^k admits m generators.
 
-    Closed form (q^{4m-1} + q^{2m} - q^{3m} - q^{3m-1}) / (q^2 - 1); equals
-    the m-tuple census divided by |PGL_2(F_q)|.
+    Closed form (q^{4m} + q^{2m+1} - q^{3m+1} - q^{3m}) / (q (q^2 - 1)),
+    which is 0 at m = 0 and 1; equals the m-tuple census divided by
+    |PGL_2(F_q)|.
     """
     _require_field(q)
-    if m < 1:
-        raise DomainError("formula holds for m >= 1")
+    if m < 0:
+        raise DomainError("formula holds for m >= 0")
     _require_digits(q, 4 * m)
-    num = q ** (4 * m - 1) + q ** (2 * m) - q ** (3 * m) - q ** (3 * m - 1)
-    den = q * q - 1
+    num = q ** (4 * m) + q ** (2 * m + 1) - q ** (3 * m + 1) - q ** (3 * m)
+    den = q * (q * q - 1)
     if num % den:
-        raise InvariantError("q^2 - 1 does not divide the 2x2 numerator; bug")
+        raise InvariantError("q (q^2 - 1) does not divide the 2x2 numerator; bug")
     return num // den
 
 
@@ -570,11 +572,12 @@ def gen_numerator_2x2(q: int, m: int) -> int:
     """Number of generating m-tuples of 2x2 matrices over F_q.
 
     Inclusion-exclusion over the maximal subalgebras:
-    q^{4m} - q^m - (q+1)(q^{3m} - q^m) + q(q^{2m} - q^m).
+    q^{4m} - q^m - (q+1)(q^{3m} - q^m) + q(q^{2m} - q^m), which is 0 at
+    m = 0 and 1.
     """
     _require_field(q)
-    if m < 1:
-        raise DomainError("formula holds for m >= 1")
+    if m < 0:
+        raise DomainError("formula holds for m >= 0")
     _require_digits(q, 4 * m)
     return (q ** (4 * m) - q**m
             - (q + 1) * (q ** (3 * m) - q**m)

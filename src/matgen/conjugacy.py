@@ -132,21 +132,22 @@ def intertwiners(tuple_a, tuple_b) -> IntertwinerSpace:
     Over a field: a kernel basis.  Over Z: the saturated integer kernel,
     a basis in canonical HNF of the rational kernel's integer points.
     """
-    return _kernel_space(_stacked_rows(tuple_a, tuple_b, tuple_a.domain),
-                         tuple_a, tuple_b)
-
-
-def _kernel_space(rows, tuple_a, tuple_b) -> IntertwinerSpace:
-    """intertwiners from the stacked rows of its system; every basis matrix
-    is checked against the equations."""
-    n = tuple_a.n
-    domain = tuple_a.domain
+    n, domain = tuple_a.n, tuple_a.domain
+    rows = _stacked_rows(tuple_a, tuple_b, domain)
     if domain.is_field:
         vecs = kernel_basis(rows, domain, ncols=n * n)
     elif domain == ZZ:
         vecs = integer_kernel_saturated(rows, n * n)
     else:
         raise DomainError("intertwiners work over a field or Z")
+    return _kernel_space(vecs, tuple_a, tuple_b)
+
+
+def _kernel_space(vecs, tuple_a, tuple_b) -> IntertwinerSpace:
+    """intertwiners from the vectors vec(C) of a basis of its system's
+    solutions; every basis matrix is checked against the equations."""
+    n = tuple_a.n
+    domain = tuple_a.domain
     basis = tuple(unvectorize(domain, n, v) for v in vecs)
     for c in basis:
         if not _check_intertwines(c, tuple_a, tuple_b):
@@ -223,12 +224,18 @@ def simultaneously_conjugate(tuple_a, tuple_b) -> Optional[Mat]:
 
 def _modp_verdict(tuple_a, tuple_b, rows, p: int) -> PrimeVerdict:
     """The verdict at p of two integer tuples whose stacked integer system
-    is rows: its mod-p system is rows reduced entrywise."""
+    is rows: its mod-p system is rows reduced entrywise.  A zero mod-p
+    kernel is answered at once: it holds no invertible element (tuples
+    equal mod p would put I in it)."""
     from .generation import mat_tuple
 
+    vecs = kernel_basis([[x % p for x in row] for row in rows],
+                        build_ext_field(p, 1), ncols=tuple_a.n ** 2)
+    if not vecs:
+        return PrimeVerdict(p, 0, False, None)
     a_p = mat_tuple([reduce_mod(a, p) for a in tuple_a.mats])
     b_p = mat_tuple([reduce_mod(b, p) for b in tuple_b.mats])
-    space = _kernel_space([[x % p for x in row] for row in rows], a_p, b_p)
+    space = _kernel_space(vecs, a_p, b_p)
     w = _witness(a_p, b_p, space)
     return PrimeVerdict(p, space.dim, w is not None, w)
 
@@ -249,7 +256,8 @@ def nonconjugate_all_primes(tuple_a, tuple_b) -> NonConjCertificate:
     if tuple_a.domain != ZZ or tuple_b.domain != ZZ:
         raise DomainError("all-primes certification works over Z")
     rows = _stacked_rows(tuple_a, tuple_b, ZZ)
-    space = _kernel_space(rows, tuple_a, tuple_b)
+    space = _kernel_space(integer_kernel_saturated(rows, tuple_a.n ** 2),
+                          tuple_a, tuple_b)
     dim = space.dim
     points = _span_points(space.basis, range(tuple_a.n + 1))
     form = list(itertools.islice(points, dim * (dim + 1) // 2))

@@ -168,9 +168,12 @@ def _spin_up_fp(S, sizes, field, include_identity: bool) -> int:
     Each row vanishes at the pivots of the rows before it, so one pass in
     insertion order reduces a vector: at each pivot the slot is read mod p
     as c, and adding c (P - u) subtracts c u mod p while every slot stays
-    nonnegative.  Right multiplication by a generator g is the list of d
-    packed rows R_g[j], the images of the units E_j, and a product is
-    sum u_j R_g[j] over the nonzero coordinates of a normalised row u.
+    nonnegative.  The reduced vector is then 0 mod p at every pivot slot, so
+    only the free slots, those that are no row's pivot, are unpacked; a new
+    row's pivot is the first nonzero free slot, which leaves the free list.
+    Right multiplication by a generator g is the list of d packed rows
+    R_g[j], the images of the units E_j, and a product is sum u_j R_g[j]
+    over the nonzero coordinates of a normalised row u.
 
     No slot overflows: a product holds at most n (p-1)^2 in a slot (n the
     largest block size), and each of the at most d reductions adds at most
@@ -184,6 +187,7 @@ def _spin_up_fp(S, sizes, field, include_identity: bool) -> int:
     shifts = range(0, d * w, w)
     every = p * (((1 << d * w) - 1) // mask)  # p in every slot
     basis = []
+    free = list(zip(range(d), shifts))  # (j, shift) of the non-pivot slots
 
     def insert(v):
         """Reduce v; if it is independent, add its row and return its
@@ -192,12 +196,13 @@ def _spin_up_fp(S, sizes, field, include_identity: bool) -> int:
             c = (v >> s & mask) % p
             if c:
                 v += c * neg
-        coords = [(v >> s & mask) % p for s in shifts]
-        piv = next((j for j, x in enumerate(coords) if x), None)
-        if piv is None:
+        coords = [(j, x) for j, s in free if (x := (v >> s & mask) % p)]
+        if not coords:
             return None
-        inv = pow(coords[piv], -1, p)
-        u = [(j, x * inv % p) for j, x in enumerate(coords) if x]
+        piv = coords[0][0]
+        inv = pow(coords[0][1], -1, p)
+        u = [(j, x * inv % p) for j, x in coords]
+        free.remove((piv, shifts[piv]))
         basis.append((shifts[piv], every - sum(x << shifts[j] for j, x in u)))
         return u
 
@@ -514,7 +519,9 @@ def lattice_generates_MnZ(S: Sequence[Mat], n: int):
 
     The ring is the Z-span of the words in S, grown by the spin-up of
     closure_generates, whose lemma holds for Z-spans: the lattice, kept as
-    its canonical HNF, takes a vector when its basis changes.  No dimension
+    its canonical HNF, takes a vector exactly when it does not contain it
+    (IntLattice.contains, a division at each pivot), and only then is the
+    HNF of the basis and the vector computed.  No dimension
     stops it, as a lattice of full rank can have index > 1; it ends because
     every vector taken enlarges the lattice and Z^{n^2} is Noetherian.
     Generation means the closure is the full lattice Z^{n^2}.
@@ -529,10 +536,9 @@ def lattice_generates_MnZ(S: Sequence[Mat], n: int):
 
     def insert(v):
         nonlocal lattice
-        new = lattice_from_rows(lattice.basis + (tuple(v),), n * n)
-        if new.basis == lattice.basis:
+        if lattice.contains(v):
             return None
-        lattice = new
+        lattice = lattice_from_rows(lattice.basis + (tuple(v),), n * n)
         return v
 
     _spin_up(vectorize(identity(ZZ, n)), map(vectorize, S),

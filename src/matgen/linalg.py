@@ -475,6 +475,27 @@ class IntLattice:
         return all(row[i] == 1 and all(x == 0 for j, x in enumerate(row) if j != i)
                    for i, row in enumerate(self.basis))
 
+    def contains(self, v) -> bool:
+        """Is the integer vector v in the lattice?  The basis is in echelon
+        form with positive pivots, so v is a member exactly when, row by
+        row, v is zero before the row's pivot and exact division at the
+        pivot clears it; what is left after the last row must be zero."""
+        v = list(v)
+        start = 0
+        for row in self.basis:
+            piv = start
+            while not row[piv]:
+                piv += 1
+            if any(v[start:piv]):
+                return False
+            q, rem = divmod(v[piv], row[piv])
+            if rem:
+                return False
+            if q:
+                v[piv:] = [x - q * y for x, y in zip(v[piv:], row[piv:])]
+            start = piv + 1
+        return not any(v[start:])
+
     def index_in_full(self):
         """Lattice index [Z^d : L] (product of pivots), or None if not full rank."""
         if self.rank != self.ambient_dim:
@@ -498,28 +519,37 @@ def hnf(rows):
     r = 0
     for c in range(ncols):
         while True:
-            nz = [i for i in range(r, m) if H[i][c] != 0]
-            if not nz:
+            # the first row of least nonzero |entry| in column c is the pivot
+            piv, least = r, 0
+            for i in range(r, m):
+                x = H[i][c]
+                if x and (not least or abs(x) < least):
+                    piv, least = i, abs(x)
+            if not least:
                 break
-            piv = min(nz, key=lambda i: abs(H[i][c]))
+            top = H[piv]
             if piv != r:
-                H[r], H[piv] = H[piv], H[r]
+                H[r], H[piv] = top, H[r]
+            a = top[c]
             done = True
             for i in range(r + 1, m):
-                if H[i][c]:
-                    q = H[i][c] // H[r][c]
-                    H[i] = [x - q * y for x, y in zip(H[i], H[r])]
-                    if H[i][c]:
+                x = H[i][c]
+                if x:
+                    q = x // a
+                    row = [y - q * t for y, t in zip(H[i], top)]
+                    H[i] = row
+                    if row[c]:
                         done = False
             if done:
                 break
-        if r < m and H[r][c] != 0:
-            if H[r][c] < 0:
-                H[r] = [-x for x in H[r]]
+        if least:
+            if a < 0:
+                top = H[r] = [-x for x in top]
+                a = -a
             for i in range(r):
-                q = H[i][c] // H[r][c]
+                q = H[i][c] // a
                 if q:
-                    H[i] = [x - q * y for x, y in zip(H[i], H[r])]
+                    H[i] = [x - q * y for x, y in zip(H[i], top)]
             r += 1
             if r == m:
                 break

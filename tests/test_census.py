@@ -59,11 +59,12 @@ def test_gen_value_2x2_values():
         assert gen_value_2x2(q, 3) == (q - 1) * (q * q + q + 1) * q**6
         assert gen_value_2x2(q, 4) == \
             (q - 1) * (q * q + q + 1) * (q * q + 1) * q**8
-        # one matrix never generates; at m = 0 the value would need 1/q
+        # neither the empty tuple nor one matrix generates
         assert gen_value_2x2(q, 1) == gen_numerator_2x2(q, 1) == 0
         for fn in (gen_value_2x2, gen_numerator_2x2):
-            with pytest.raises(DomainError, match="m >= 1"):
-                fn(q, 0)
+            assert fn(q, 0) == 0
+            with pytest.raises(DomainError, match="m >= 0"):
+                fn(q, -1)
 
 
 def test_formula_numerator_and_inclusion_exclusion_steps():
@@ -125,15 +126,16 @@ def test_census_thread_determinism():
 
 
 def test_census_pool_only_for_large_censuses(monkeypatch):
-    from matgen import census
+    import concurrent.futures
 
     want = count_generating_bruteforce(3, 2, 2, threads=1).generating_count
-    pool = census.ProcessPoolExecutor
+    # the pool class is imported where the pool is made
+    pool = concurrent.futures.ProcessPoolExecutor
 
     def refuse(*args, **kwargs):
         raise AssertionError("a small census started a process pool")
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     assert count_generating_bruteforce(3, 2, 2, threads=2).generating_count \
         == want
     assert count_generating_bruteforce(4, 2, 2, threads=2).generating_count \
@@ -144,7 +146,7 @@ def test_census_pool_only_for_large_censuses(monkeypatch):
         started.append(kwargs["max_workers"])
         return pool(*args, **kwargs)
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", record)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
     assert count_generating_bruteforce(5, 2, 2, threads=2).generating_count \
         == gen_numerator_2x2(5, 2)
     assert started == [2]

@@ -44,6 +44,23 @@ def test_count_one_generator_all_paths_agree(q, capsys):
     assert data["formula"] == {"gen": 0, "numerator": 0}
 
 
+@pytest.mark.parametrize("mode", ["all", "formula", "brute", "complement"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_count_no_generators_every_mode_agrees(q, mode, capsys):
+    # the empty tuple generates nothing: every path, the closed forms
+    # included, counts 0
+    assert main(["--json", "count", "--q", str(q), "--m", "0",
+                 "--mode", mode]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["agree"]
+    if mode in ("all", "formula"):
+        assert data["formula"] == {"gen": 0, "numerator": 0}
+    if mode in ("all", "brute"):
+        assert data["brute"]["generating_count"] == 0
+    if mode in ("all", "complement"):
+        assert data["complement"] == 0
+
+
 def test_bound_one_generator(capsys):
     assert main(["bound", "--q", "2", "--m", "1"]) == 0
     assert "gen = 0; strictly below bound: True" in capsys.readouterr().out

@@ -378,6 +378,54 @@ def test_certificate_lists_divisor_primes():
         assert 2 in listed
 
 
+def test_modp_verdict_matches_the_public_deciders():
+    # the verdict at p, zero kernels answered early, against intertwiners
+    # and simultaneously_conjugate on the reduced tuples
+    from matgen.conjugacy import PrimeVerdict, _modp_verdict, _stacked_rows
+    from matgen.linalg import is_scalar_mat, reduce_mod
+
+    rng = random.Random(24)
+
+    def rand_int_mat(n, span):
+        return mat(ZZ, [[rng.randint(-span, span) for _ in range(n)]
+                        for _ in range(n)])
+
+    dims, equal_mod_p = set(), set()
+    for p in (2, 3, 5, 7):
+        for n in (2, 3):
+            one = identity(ZZ, n)
+            for case in range(24):
+                a = mat_tuple([rand_int_mat(n, 3) for _ in range(1 + case % 2)])
+                if is_scalar_mat(reduce_mod(a.mats[0], p)):
+                    continue  # its intertwiner span is past the grid's cap
+                kind = case // 2 % 3
+                if kind == 0:  # independent: mostly a zero kernel
+                    b = mat_tuple([rand_int_mat(n, 3) for _ in a.mats])
+                elif kind == 1:  # conjugate over Z by C = prod (I + s E_ij)
+                    c = c_inv = one
+                    for _ in range(4):
+                        i, j = rng.sample(range(n), 2)
+                        e = unit_mat(ZZ, n, i, j)
+                        s = rng.choice((-1, 1))
+                        c = mmul(c, madd(one, smul(s, e)))
+                        c_inv = mmul(madd(one, smul(-s, e)), c_inv)
+                    b = mat_tuple([mmul(mmul(c_inv, x), c) for x in a.mats])
+                else:  # equal mod p, different over Z
+                    b = mat_tuple([madd(x, smul(p, rand_int_mat(n, 1)))
+                                   for x in a.mats])
+                a_p = mat_tuple([reduce_mod(x, p) for x in a.mats])
+                b_p = mat_tuple([reduce_mod(x, p) for x in b.mats])
+                w = simultaneously_conjugate(a_p, b_p)
+                want = PrimeVerdict(p, intertwiners(a_p, b_p).dim, w is not None, w)
+                assert _modp_verdict(a, b, _stacked_rows(a, b, ZZ), p) == want
+                dims.add((p, n, min(want.kernel_dim, 2)))
+                if kind == 2:
+                    equal_mod_p.add((p, n))
+    cases = {(p, n) for p in (2, 3, 5, 7) for n in (2, 3)}
+    assert dims == {(p, n, d) for p, n in cases for d in (0, 1, 2)}
+    assert equal_mod_p == cases
+
+
 def test_certificate_against_bruteforce_small_sample():
     rng = random.Random(23)
     for _ in range(40):

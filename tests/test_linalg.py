@@ -362,6 +362,80 @@ def test_snf_matches_the_pivot_search_reference():
         assert snf(rows) == _snf_reference(rows), rows
 
 
+
+def _hnf_reference(rows):
+    """The row HNF with the pivot picked by min(..., key=abs) over the list
+    of nonzero rows, re-indexing H at every step."""
+    m = len(rows)
+    if m == 0:
+        return []
+    ncols = len(rows[0])
+    H = [list(r) for r in rows]
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, m) if H[i][c] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(H[i][c]))
+            if piv != r:
+                H[r], H[piv] = H[piv], H[r]
+            done = True
+            for i in range(r + 1, m):
+                if H[i][c]:
+                    q = H[i][c] // H[r][c]
+                    H[i] = [x - q * y for x, y in zip(H[i], H[r])]
+                    if H[i][c]:
+                        done = False
+            if done:
+                break
+        if r < m and H[r][c] != 0:
+            if H[r][c] < 0:
+                H[r] = [-x for x in H[r]]
+            for i in range(r):
+                q = H[i][c] // H[r][c]
+                if q:
+                    H[i] = [x - q * y for x, y in zip(H[i], H[r])]
+            r += 1
+            if r == m:
+                break
+    return [tuple(x) for x in H]
+
+
+def test_hnf_matches_the_min_pivot_reference():
+    rng = random.Random(20)
+    for case in range(600):
+        m, n = rng.randint(1, 8), rng.randint(1, 12)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if case % 4 == 1:  # zero rows
+            for i in rng.sample(range(m), rng.randint(1, m)):
+                rows[i] = [0] * n
+        elif case % 4 == 2:  # zero columns
+            for j in rng.sample(range(n), rng.randint(1, n)):
+                for row in rows:
+                    row[j] = 0
+        elif case % 4 == 3:  # some entries near 2^70
+            for _ in range(rng.randint(1, m * n)):
+                rows[rng.randrange(m)][rng.randrange(n)] = \
+                    rng.choice((-1, 1)) * (2**70 + rng.randint(-9, 9))
+        assert hnf(rows) == _hnf_reference(rows), rows
+
+
+def test_lattice_membership_matches_the_hnf_of_the_enlarged_basis():
+    rng = random.Random(21)
+    for case in range(400):
+        m, n = rng.randint(0, 5), rng.randint(1, 6)
+        lattice = lattice_from_rows(
+            [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)], n)
+        if case % 2 and lattice.basis:  # an integer combination of the basis
+            v = [sum(rng.randint(-3, 3) * row[j] for row in lattice.basis)
+                 for j in range(n)]
+        else:
+            v = [rng.randint(-4, 4) for _ in range(n)]
+        enlarged = lattice_from_rows(lattice.basis + (tuple(v),), n)
+        assert lattice.contains(v) == (enlarged.basis == lattice.basis), \
+            (lattice, v)
+
 # --- eigenlines over the quadratic extension --------------------------------
 
 def test_quadratic_eigvecs_examples():
