@@ -434,7 +434,11 @@ class CensusResult:
 
 
 def pgl_order(q: int, n: int) -> int:
-    """|PGL_n(F_q)| = (q-1)^{-1} prod_{i<n} (q^n - q^i)."""
+    """|PGL_n(F_q)| = (q-1)^{-1} prod_{i<n} (q^n - q^i); refuses n < 1."""
+    _require_field(q)
+    if n < 1:
+        raise DomainError("PGL_n needs n >= 1")
+    _require_digits(q, n * n)
     prod = 1
     for i in range(n):
         prod *= q**n - q**i
@@ -586,6 +590,10 @@ def gen_numerator_2x2(q: int, m: int) -> int:
 
 def gen_value_1x1(q: int, m: int, convention: str = "projective") -> int:
     """n = 1 values under the three conventions (see the census report)."""
+    _require_field(q)
+    if m < 0:
+        raise DomainError("formula holds for m >= 0")
+    _require_digits(q, m)
     if convention == "projective":
         num = q**m - 1
         if num % (q - 1):
@@ -618,6 +626,8 @@ def euler_partial(x, terms: int):
     Returns (lower, upper) from the two consecutive partial sums with
     `terms` and `terms + 1` series terms.
     """
+    if terms < 0:
+        raise DomainError("terms must be >= 0")
     x = Fraction(x)
     if x == 0:
         return Fraction(1), Fraction(1)
@@ -669,6 +679,9 @@ def min_generators_M2Z(k: int) -> int:
 def integer_gen_formula(m: int) -> int:
     """Largest k such that M_2(Z)^k admits m generators:
     (16^m - 3*8^m + 2*4^m) / 6, the q = 2 value of the field formula."""
+    if m < 0:
+        raise DomainError("formula holds for m >= 0")
+    _require_digits(2, 4 * m)
     num = 16**m - 3 * 8**m + 2 * 4**m
     if num % 6:
         raise InvariantError("6 does not divide the integer numerator; bug")
@@ -835,7 +848,9 @@ def count_via_complement(q: int, m: int) -> int:
 
 def n1_census_report(q: int, m: int) -> dict:
     """Side-by-side n = 1 counts: unital and non-unital brute force next to
-    the closed formula; the conventions disagree for q > 2 (open question)."""
+    the closed formula; the conventions disagree for q > 2 (open question).
+    The q^m tuples are enumerated, so they fall under CENSUS_CAP."""
+    _require_census(q, 1, m)
     unital = 0
     nonunital = 0
     for tup in itertools.product(range(q), repeat=m):

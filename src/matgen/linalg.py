@@ -1,9 +1,10 @@
 """Exact dense linear algebra shared by every module.
 
-Echelon forms and kernels over fields, determinants and characteristic
-polynomials over any coefficient domain, the Hermite normal form over Z
-(with the lattices, kernels and Smith divisors built on it),
-and eigenline computation for 2x2 matrices in the quadratic extension.
+Echelon forms and kernels over fields, determinants over any commutative
+domain and characteristic polynomials over fields from one division-free
+recursion, the Hermite normal form over Z (with the lattices, kernels and
+Smith divisors built on it), and eigenlines of 2x2 matrices over the
+quadratic extension.
 Vectorization is row-major everywhere.
 """
 
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, zip_longest
+from functools import reduce
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -157,26 +159,51 @@ def reduce_mod(a: Mat, p: int) -> Mat:
 
 
 def det(a: Mat):
-    """Determinant over any commutative domain (Laplace; n stays tiny)."""
+    """Determinant over any commutative domain, division-free (Berkowitz)."""
     return det_rows(a.rows, a.domain)
 
 
 def det_rows(rows, d):
     """Determinant of the square matrix `rows` over any object with the
-    domain methods zero, is_zero, add, sub and mul."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return d.sub(d.mul(rows[0][0], rows[1][1]), d.mul(rows[0][1], rows[1][0]))
-    acc = d.zero()
-    for j in range(n):
-        if d.is_zero(rows[0][j]):
-            continue
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = d.mul(rows[0][j], det_rows(minor, d))
-        acc = d.add(acc, term) if j % 2 == 0 else d.sub(acc, term)
-    return acc
+    domain methods zero, one, add, sub and mul: (-1)^n times the constant
+    term of det(tI - A)."""
+    c = _berkowitz(rows, d)[-1]
+    return d.sub(d.zero(), c) if len(rows) % 2 else c
+
+
+def char_poly(a: Mat) -> tuple:
+    """Coefficients of det(tI - A), lowest degree first, monic of degree n."""
+    if not a.domain.is_field:
+        raise DomainError("char_poly requires a field domain")
+    return tuple(reversed(_berkowitz(a.rows, a.domain)))
+
+
+def _berkowitz(rows, d):
+    """Coefficients of det(tI - A), highest degree first, for the square
+    matrix A = `rows` by Berkowitz's division-free recursion (Inf. Process.
+    Lett. 18, 1984): O(n^4) calls of the domain methods zero, one, add, sub
+    and mul, so it runs over Z as over every field.
+
+    With A_r the leading r x r block, C the column above A[r][r] and R the
+    row left of it, det(tI - A_{r+1}) = (t - A[r][r]) det(tI - A_r)
+    - R adj(tI - A_r) C.  Expanding the adjugate in powers of A_r makes
+    the new polynomial t c - c * s, the old one c times t less its
+    convolution with s = (A[r][r], R C, R A_r C, ..., R A_r^{r-1} C)."""
+    add, sub, times = d.add, d.sub, d.mul
+    poly = [d.one()]
+    for r, row in enumerate(rows):
+        col = [above[r] for above in rows[:r]]
+        s = [row[r]]
+        for i in range(r):  # map stops at the end of col, the first r entries
+            if i:
+                col = [reduce(add, map(times, above, col)) for above in rows[:r]]
+            s.append(reduce(add, map(times, row, col)))
+        new = poly + [d.zero()]
+        for j, c in enumerate(poly, 1):
+            for k, x in enumerate(s[:r + 2 - j], j):
+                new[k] = sub(new[k], times(c, x))
+        poly = new
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -335,61 +362,6 @@ def kernel_basis(rows, field, ncols: Optional[int] = None):
             v[pj] = field.neg(row[f])
         out.append(tuple(v))
     return out
-
-
-# ---------------------------------------------------------------------------
-# characteristic polynomial (det(tI - A), exact over any domain)
-
-
-class _PolyRing:
-    """Polynomials over a domain as coefficient lists, lowest degree first;
-    the part of the domain API that det_rows uses."""
-
-    def __init__(self, d):
-        self.d = d
-
-    def zero(self):
-        return [self.d.zero()]
-
-    def is_zero(self, a) -> bool:
-        return all(self.d.is_zero(c) for c in a)
-
-    def add(self, a, b):
-        return [self.d.add(x, y)
-                for x, y in zip_longest(a, b, fillvalue=self.d.zero())]
-
-    def sub(self, a, b):
-        return [self.d.sub(x, y)
-                for x, y in zip_longest(a, b, fillvalue=self.d.zero())]
-
-    def mul(self, a, b):
-        d = self.d
-        out = [d.zero()] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if d.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = d.add(out[i + j], d.mul(x, y))
-        return out
-
-
-def char_poly(a: Mat) -> tuple:
-    """Coefficients of det(tI - A), lowest degree first, monic of degree n."""
-    d = a.domain
-    if not d.is_field:
-        raise DomainError("char_poly requires a field domain")
-    n = a.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            const = d.neg(a.rows[i][j])
-            lin = d.one() if i == j else d.zero()
-            row.append([const, lin])
-        rows.append(row)
-    coeffs = det_rows(rows, _PolyRing(d))
-    coeffs = coeffs + [d.zero()] * (n + 1 - len(coeffs))
-    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

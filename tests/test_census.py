@@ -9,6 +9,8 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matgen.census import (
     asymptotic_upper_bound,
@@ -89,6 +91,42 @@ def test_gen_value_1x1_conventions():
     assert gen_value_1x1(5, 1, "projective") == 1
     with pytest.raises(DomainError):
         gen_value_1x1(2, 2, "bogus")
+
+
+def test_evaluators_refuse_bad_arguments():
+    # a usage error is a DomainError, neither a value nor an "...; bug"
+    calls = [lambda: gen_value_1x1(6, 2), lambda: pgl_order(6, 2),
+             lambda: gen_value_1x1(1, 2), lambda: pgl_order(1, 2),
+             lambda: pgl_order(3, 0), lambda: gen_value_1x1(4, -1),
+             lambda: integer_gen_formula(-1),
+             lambda: euler_partial(Fraction(1, 2), -1), lambda: euler_partial(0, -1),
+             lambda: n1_census_report(6, 2), lambda: n1_census_report(1, 2),
+             lambda: n1_census_report(2, -1), lambda: n1_census_report(2, 27)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+    assert euler_partial(Fraction(1, 2), 0) == (Fraction(1, 4), Fraction(1))
+    assert integer_gen_formula(0) == gen_value_1x1(4, 0) == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(-2, 12), m=st.integers(-3, 4) | st.integers(27, 10**9),
+       terms=st.integers(-3, 6),
+       x=st.fractions(-2, 2, max_denominator=12),
+       convention=st.sampled_from(["projective", "unital", "nonunital", "bogus"]))
+def test_evaluators_return_or_refuse(q, m, terms, x, convention):
+    # m >= 27 is refused from the exponent wherever it would be enumerated
+    # or written out
+    calls = [lambda: gen_value_1x1(q, m, convention), lambda: pgl_order(q, m),
+             lambda: integer_gen_formula(m), lambda: euler_partial(x, terms),
+             lambda: n1_census_report(q, m)]
+    start = time.perf_counter()
+    for call in calls:
+        try:
+            call()
+        except DomainError:
+            pass
+    assert time.perf_counter() - start < 5
 
 
 # --- brute-force censuses -----------------------------------------------------

@@ -1,7 +1,10 @@
 import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
+from itertools import zip_longest
+from math import prod
 
 import pytest
 
@@ -19,6 +22,7 @@ from matgen.linalg import (
     Mat,
     char_poly,
     det,
+    det_rows,
     hnf,
     identity,
     integer_kernel_saturated,
@@ -199,7 +203,7 @@ def poly_eval_mat(coeffs, a: Mat) -> Mat:
 @pytest.mark.parametrize("domain", [F2, F3, PrimeField(5), build_ext_field(2, 2), QQ])
 def test_cayley_hamilton(domain):
     rng = random.Random(3)
-    for n in (2, 3):
+    for n in (2, 3, 4, 5, 6):
         for _ in range(8):
             if domain is QQ:
                 a = rand_mat(QQ, n, rng)
@@ -208,6 +212,91 @@ def test_cayley_hamilton(domain):
                 a = Mat(domain, n, tuple(tuple(rng.choice(elems) for _ in range(n))
                                          for _ in range(n)))
             assert is_zero_mat(poly_eval_mat(char_poly(a), a))
+
+
+# --- the Laplace reference for det and char_poly -----------------------------
+
+def laplace_det(rows, d):
+    """Reference determinant: expansion along the first row, over any ring
+    with zero, add, sub and mul."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = d.zero()
+    for j, x in enumerate(rows[0]):
+        term = d.mul(x, laplace_det([row[:j] + row[j + 1:] for row in rows[1:]], d))
+        acc = d.add(acc, term) if j % 2 == 0 else d.sub(acc, term)
+    return acc
+
+
+class PolyRing:
+    """Polynomials over d as coefficient lists, lowest degree first."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def zero(self):
+        return [self.d.zero()]
+
+    def add(self, a, b):
+        return [self.d.add(x, y) for x, y in zip_longest(a, b, fillvalue=self.d.zero())]
+
+    def sub(self, a, b):
+        return [self.d.sub(x, y) for x, y in zip_longest(a, b, fillvalue=self.d.zero())]
+
+    def mul(self, a, b):
+        out = [self.d.zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = self.d.add(out[i + j], self.d.mul(x, y))
+        return out
+
+
+def laplace_char_poly(a: Mat) -> tuple:
+    """det(tI - A) by Laplace expansion over polynomial entries."""
+    d = a.domain
+    rows = [[[d.neg(x), d.one() if i == j else d.zero()] for j, x in enumerate(row)]
+            for i, row in enumerate(a.rows)]
+    coeffs = laplace_det(rows, PolyRing(d))
+    return tuple(coeffs + [d.zero()] * (a.n + 1 - len(coeffs)))
+
+
+@pytest.mark.parametrize("q", [2, 5, 9, "Z", "Q"])
+def test_det_and_char_poly_match_laplace(q):
+    rng = random.Random(21)
+    domain = {"Z": ZZ, "Q": QQ}.get(q) or field_of_order(q)
+    if domain.char:
+        elems = list(domain.elements())
+    else:
+        elems = sorted({domain.convert(Fraction(x, y) if domain is QQ else x)
+                        for x in range(-5, 6) for y in (1, 2, 3)})
+    for n in range(1, 7):
+        for _ in range(4):
+            a = Mat(domain, n, tuple(tuple(rng.choice(elems) for _ in range(n))
+                                     for _ in range(n)))
+            assert det_rows(a.rows, domain) == det(a) == laplace_det(a.rows, domain)
+            if domain.is_field:
+                assert char_poly(a) == laplace_char_poly(a)
+            else:
+                with pytest.raises(DomainError):
+                    char_poly(a)
+    rows = rand_mat(domain, 4, rng).rows[:2] * 2  # rank-deficient
+    assert det_rows(rows, domain) == domain.zero() == laplace_det(rows, domain)
+
+
+def test_det_and_char_poly_stay_fast():
+    # Laplace expansion took seconds at these sizes
+    rng = random.Random(8)
+    rows = [[rng.randint(-9, 9) for _ in range(10)] for _ in range(10)]
+    start = time.perf_counter()
+    d = det(mat(ZZ, rows))
+    assert time.perf_counter() - start < 0.1
+    assert abs(d) == prod(snf(rows))
+    f5 = PrimeField(5)
+    a = Mat(f5, 9, tuple(tuple(rng.randrange(5) for _ in range(9)) for _ in range(9)))
+    start = time.perf_counter()
+    cp = char_poly(a)
+    assert time.perf_counter() - start < 0.1
+    assert is_zero_mat(poly_eval_mat(cp, a))
 
 
 # --- HNF / SNF --------------------------------------------------------------
