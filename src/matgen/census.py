@@ -20,8 +20,13 @@ gather.  The tables take 3.0 MB at the largest size under the cap, (5, 2);
 the kernel's other memory grows with the block size and n.  The orbit count
 compares the ids of a block of generating tuples with those of their PGL
 images; the complement count ANDs the subalgebra membership masks of a
-block of tuples.  A bit-mask closure for 2x2 matrices over F_2 stays as an
-independent reference.
+block of tuples.
+
+The kernel indexes the tuple axis only through flat integer indices: the
+tuples still open are kept by take at np.flatnonzero of their mask, the
+new row of tuple t is candidate k at k B + t in the flattened candidates,
+and the frontier is one scatter by cumulative-sum rank.  No boolean mask,
+paired fancy index or sort runs on that axis.
 """
 
 from __future__ import annotations
@@ -198,14 +203,15 @@ def _generates_block(comps, q: int, n: int):
     for level in itertools.count():
         added = insert(cand, basis, present, tables)
         full = present.all(0)
-        out[which[full]] = True
+        out[which] = full  # every tuple still in the block reads False so far
         keep = added.any(0) & ~full
         if not keep.any():
             return out
         if not keep.all():
+            idx = np.flatnonzero(keep)
             which, basis, present, added, gens = (
-                which[keep], basis[..., keep], present[:, keep],
-                added[:, keep], gens[..., keep])
+                which.take(idx), basis.take(idx, -1), present.take(idx, -1),
+                added.take(idx, -1), gens.take(idx, -1))
         # the generators span the rows that level 0 added
         front = gens if level == 0 else _frontier(basis, added)
         cand = products(front, gens, n, tables)
@@ -230,8 +236,8 @@ def _insert_ids(cand, basis, present, tables):
         nz = x != 0
         new = nz.any(0) & ~present[c]
         if new.any():
-            k = (nz * index).max(0)
-            row = S.take(inv.take(x[k, cols] // N) + cand[k, cols])
+            at = (nz * index).max(0).astype(np.intp) * nt + cols
+            row = S.take(inv.take(x.take(at) // N) + cand.take(at))
             rows[c] = np.where(new, row, rows[c])
             present[c] |= new
             added[c] = new
@@ -268,7 +274,8 @@ def _insert(cand, basis, present, tables):
         nz = col != 0
         new = nz.any(0) & ~present[c]
         if new.any():
-            pick = cand[c:, (nz * index).max(0), cols]
+            at = (nz * index).max(0).astype(np.intp) * nt + cols
+            pick = cand[c:].reshape(d - c, -1).take(at, 1)
             row = mul.take((inv.take(pick[0]) << shift)[None] | pick)
             basis[c:, c] = np.where(new, row, basis[c:, c])
             present[c] |= new
@@ -285,10 +292,13 @@ def _frontier(basis, added):
     tuple added, and a tuple with fewer gets zero rows."""
     import numpy as np
 
-    width = int(added.sum(0).max())
-    order = np.argsort(~added, axis=0, kind="stable")[:width]
-    rows = np.take_along_axis(basis, order[None], axis=1)
-    return np.where(np.take_along_axis(added, order, axis=0), rows, 0)
+    v, d, nt = basis.shape
+    rank = np.cumsum(added, 0)
+    at = np.flatnonzero(added)  # c nt + t: pivot column c, tuple t
+    out = np.zeros((v, int(rank[-1].max()) * nt), basis.dtype)
+    # the added row of rank r (from 1, in pivot order) goes to row r - 1
+    out[:, (rank.take(at) - 1) * nt + at % nt] = basis.reshape(v, -1).take(at, 1)
+    return out.reshape(v, -1, nt)
 
 
 def _products(front, gens, n: int, tables):
@@ -307,53 +317,6 @@ def _products(front, gens, n: int, tables):
                 acc = add.take((acc << shift) | mul.take(es[i * n + k] | g[k * n + j]))
             out[i * n + j] = acc
     return out.reshape(d, f * m, nt)
-
-
-# F_2, n = 2: matrices are 4-bit masks, vector = matrix, span via XOR basis.
-# An independent closure that the tests check census results against.
-
-MUL2 = tuple(
-    tuple(
-        (((x >> 3 & 1) & (y >> 3 & 1)) ^ ((x >> 2 & 1) & (y >> 1 & 1))) << 3
-        | (((x >> 3 & 1) & (y >> 2 & 1)) ^ ((x >> 2 & 1) & (y & 1))) << 2
-        | (((x >> 1 & 1) & (y >> 3 & 1)) ^ ((x & 1) & (y >> 1 & 1))) << 1
-        | (((x >> 1 & 1) & (y >> 2 & 1)) ^ ((x & 1) & (y & 1)))
-        for y in range(16)
-    )
-    for x in range(16)
-)
-
-
-def _generates_f2(mats) -> bool:
-    slots = [0, 0, 0, 0]
-    dim = 0
-
-    def insert(v):
-        nonlocal dim
-        while v:
-            hb = v.bit_length() - 1
-            r = slots[hb]
-            if r:
-                v ^= r
-            else:
-                slots[hb] = v
-                dim += 1
-                return True
-        return False
-
-    frontier = [m for m in mats if insert(m)]
-    while frontier and dim < 4:
-        nxt = []
-        for e in frontier:
-            row = MUL2[e]
-            for g in mats:
-                if insert(row[g]):
-                    nxt.append(row[g])
-                p = MUL2[g][e]
-                if insert(p):
-                    nxt.append(p)
-        frontier = nxt
-    return dim == 4
 
 
 def _count_range(q: int, n: int, m: int, lo: int, hi: int) -> int:
@@ -541,7 +504,7 @@ def orbit_count(q: int, n: int, m: int) -> int:
     w = (q ** (n * n)) ** np.arange(m - 1, -1, -1, dtype=np.int64)
     canonical = generating = 0
     for comps, ok in _block_verdicts(q, n, m, 0, ambient):
-        g = comps[:, ok]
+        g = comps.take(np.flatnonzero(ok), 1)
         ids = w @ g
         generating += len(ids)
         canonical += int(np.all([w @ p[g] >= ids for p in perms], 0).sum())
@@ -849,17 +812,19 @@ def count_via_complement(q: int, m: int) -> int:
 def n1_census_report(q: int, m: int) -> dict:
     """Side-by-side n = 1 counts: unital and non-unital brute force next to
     the closed formula; the conventions disagree for q > 2 (open question).
-    The q^m tuples are enumerated, so they fall under CENSUS_CAP."""
-    _require_census(q, 1, m)
-    unital = 0
-    nonunital = 0
-    for tup in itertools.product(range(q), repeat=m):
+    The q^m tuples are enumerated by id, BLOCK at a time, so they fall
+    under CENSUS_CAP."""
+    total = _require_census(q, 1, m)
+    import numpy as np
+
+    unital = nonunital = 0
+    for start in range(0, total, BLOCK):
+        ids = np.arange(start, min(start + BLOCK, total), dtype=np.int64)
         # F_q is one-dimensional: the spanned subalgebra is everything
-        # exactly when some generator (or the adjoined 1) is a unit
-        if any(x != 0 for x in (1,) + tup):
-            unital += 1
-        if any(x != 0 for x in tup):
-            nonunital += 1
+        # exactly when some generator (or the adjoined 1) is a unit, and a
+        # tuple has a nonzero entry exactly when its base-q id is nonzero
+        unital += len(ids)
+        nonunital += int(np.count_nonzero(ids))
     return {
         "schema_version": 1,
         "q": q,

@@ -59,12 +59,13 @@ def test_criterion_03_orbit_structure():
     assert res.generating_count == 96
     assert census.orbit_count(2, 2, 2) == 16
     # orbit sizes are all exactly 6
-    from matgen.census import _generates_f2, _pgl_conj_perms
+    from f2_bitmask import generates_f2
+    from matgen.census import _pgl_conj_perms
 
     perms = _pgl_conj_perms(2, 2)
     orbits = {}
     for tup in itertools.product(range(16), repeat=2):
-        if _generates_f2(tup):
+        if generates_f2(tup):
             canon = min(tuple(p[i] for i in tup) for p in perms)
             orbits.setdefault(canon, set()).add(tup)
     assert len(orbits) == 16

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f2_bitmask import generates_f2
 from matgen.census import (
     asymptotic_upper_bound,
     count_generating_bruteforce,
@@ -31,7 +32,6 @@ from matgen.census import (
 from matgen.census import (
     BLOCK,
     _generates_block,
-    _generates_f2,
     _require_field,
     resolve_threads,
 )
@@ -245,24 +245,105 @@ def test_batched_kernel_matches_closure(q, n):
         comps = np.array(tuples, np.int64).reshape(len(tuples), m).T
         got = _generates_block(comps, q, n)
         for ids, verdict in zip(tuples, got):
-            mats = []
-            for i in ids:
-                digits = [(i // q ** (n * n - 1 - k)) % q for k in range(n * n)]
-                rows = tuple(tuple(digits[r * n + c] for c in range(n))
-                             for r in range(n))
-                mats.append((Mat(F, n, rows),))
-            want = closure_generates(mats, shape_of(n), include_identity=False,
-                                     field=F).verdict
-            assert bool(verdict) == want, (q, n, ids)
+            assert bool(verdict) == _closure_verdict(ids, q, n, F), (q, n, ids)
         if m >= 2:
             assert got.any() and not got.all()
+
+
+def _closure_verdict(ids, q, n, F):
+    """closure_generates, without the identity, on the matrices with these
+    ids: the per-tuple reference for the batched kernel."""
+    mats = []
+    for i in ids:
+        digits = [(i // q ** (n * n - 1 - k)) % q for k in range(n * n)]
+        rows = tuple(tuple(digits[r * n + c] for c in range(n)) for r in range(n))
+        mats.append((Mat(F, n, rows),))
+    return closure_generates(mats, shape_of(n), include_identity=False,
+                             field=F).verdict
 
 
 def test_batched_kernel_matches_f2_bit_masks():
     # a 2x2 matrix over F_2 has the same id as a matrix and as a bit mask
     pairs = list(itertools.product(range(16), repeat=2))
     got = _generates_block(np.array(pairs, np.int64).T, 2, 2)
-    assert [bool(v) for v in got] == [_generates_f2(p) for p in pairs]
+    assert [bool(v) for v in got] == [generates_f2(p) for p in pairs]
+
+
+def _frontier_by_sort(basis, added):
+    """_frontier as a stable argsort of the added mask and two
+    take_along_axis gathers: the reference for its rank scatter."""
+    width = int(added.sum(0).max())
+    order = np.argsort(~added, axis=0, kind="stable")[:width]
+    rows = np.take_along_axis(basis, order[None], axis=1)
+    return np.where(np.take_along_axis(added, order, axis=0), rows, 0)
+
+
+@pytest.mark.parametrize("v,d,dtype", [(1, 4, np.int32), (1, 9, np.int32),
+                                       (4, 4, np.uint8), (9, 9, np.uint8)])
+def test_frontier_matches_the_sorted_gather(v, d, dtype):
+    # v = 1: a row is one matrix id; v = d: its d entries
+    rng = np.random.default_rng(100 * v + d)
+    for nt in (1, 2, 7, 300):
+        basis = rng.integers(1, 250, (v, d, nt)).astype(dtype)
+        added = rng.random((d, nt)) < rng.random(nt)  # a density per tuple
+        added[:, 0] = False  # a tuple that added nothing
+        added[:, -1] = nt > 1  # one that added a row at every pivot column
+        got = census._frontier(basis, added)
+        want = _frontier_by_sort(basis, added)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want), (v, d, nt)
+
+
+def _level_tuples(rng, q, n, m, count):
+    """Seeded m-tuples of ids that leave the kernel at different levels:
+    zero tuples at level 0, scalar and diagonal ones early, triangular and
+    random ones later."""
+    d = n * n
+    diag = [i * n + i for i in range(n)]
+
+    def matrix(kind):
+        entries = [rng.randrange(q) if kind == "random" or k in diag
+                   or (kind == "triangular" and k % n > k // n) else 0
+                   for k in range(d)]
+        if kind == "scalar":
+            entries = [entries[0] if k in diag else 0 for k in range(d)]
+        return sum(e * q ** (d - 1 - k) for k, e in enumerate(entries))
+
+    kinds = ["zero", "scalar", "diagonal", "triangular", "triangular", "random"]
+    out = []
+    for t in range(count):
+        kind = kinds[t % len(kinds)]
+        tup = [0 if kind == "zero" else matrix(kind) for _ in range(m)]
+        if t % 5 == 0:
+            tup[1:] = [0] * (m - 1)  # one matrix and zeros: its powers
+        out.append(tup)
+    return out
+
+
+@pytest.mark.parametrize("q,n,m", [(3, 2, 2), (4, 2, 3), (7, 2, 2), (3, 3, 2)])
+def test_kernel_drops_finished_tuples_at_each_level(q, n, m, monkeypatch):
+    # (3,2) and (4,2) run the id layout, (7,2) and (3,3) the entry layout
+    F = field_of_order(q)
+    tuples = _level_tuples(random.Random(31 * q + n), q, n, m, 120)
+    comps = np.array(tuples, np.int64).T
+    id_layout = q ** (n * n) <= census.ID_TABLE_MAX
+    insert = census._insert_ids if id_layout else census._insert
+    live = []  # tuples entering each level
+
+    def spy(cand, basis, present, tables):
+        live.append(cand.shape[-1])
+        return insert(cand, basis, present, tables)
+
+    monkeypatch.setattr(census, insert.__name__, spy)
+    got = _generates_block(comps, q, n)
+    # tuples finish at levels 0 and 1, so the block shrinks after each; a
+    # 2x2 tuple never reaches level 3, so every tuple left at level 2
+    # finishes there, while 3x3 ones (a matrix whose powers span three
+    # dimensions) also shrink the block after level 2
+    assert len(live) >= (3 if n == 2 else 4)
+    assert all(a > b for a, b in zip(live, live[1:4])), live
+    assert [bool(v) for v in got] == [_closure_verdict(t, q, n, F) for t in tuples]
+    assert got.any() and not got.all()
 
 
 ID_SIZES = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3)]  # q^(n^2) <= ID_TABLE_MAX
@@ -755,6 +836,24 @@ def test_sampling_monotone_in_q():
     lo = sample_generation_probability(2, 2, 2, samples=10_000, seed=1)
     hi = sample_generation_probability(9, 2, 2, samples=10_000, seed=1)
     assert hi > lo
+
+
+def test_n1_report_matches_a_per_tuple_count():
+    # across block edges (2^13, 3^8) and at m = 0, the empty tuple
+    for q, m in ((2, 0), (2, 5), (3, 4), (5, 2), (2, 13), (3, 8)):
+        tuples = list(itertools.product(range(q), repeat=m))
+        rep = n1_census_report(q, m)
+        assert rep["unital"] == sum(any((1,) + t) for t in tuples)
+        assert rep["nonunital"] == sum(any(t) for t in tuples)
+
+
+def test_n1_report_is_bounded():
+    # the largest admitted report enumerates 2^26 = CENSUS_CAP tuples
+    start = time.perf_counter()
+    rep = n1_census_report(2, 26)
+    assert time.perf_counter() - start < 5
+    assert (rep["unital"], rep["nonunital"], rep["up_to_scaling"]) == \
+        (2**26, 2**26 - 1, 2**26 - 1)
 
 
 def test_n1_report_conventions():
