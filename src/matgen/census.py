@@ -418,8 +418,10 @@ def count_generating_bruteforce(q: int, n: int, m: int,
     does not depend on the worker count.  threads is an upper bound: small
     censuses run in this process.
     """
-    if n < 2:
-        raise DomainError("use n1_census_report for 1x1 censuses")
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if n == 1:
+        raise DomainError("the brute-force census needs n >= 2")
     ambient = _require_census(q, n, m)
     start = time.perf_counter()
     pgl = pgl_order(q, n)
@@ -518,18 +520,11 @@ def orbit_count(q: int, n: int, m: int) -> int:
 
 
 def gen_value_2x2(q: int, m: int) -> int:
-    """Largest k such that M_2(F_q)^k admits m generators.
-
-    Closed form (q^{4m} + q^{2m+1} - q^{3m+1} - q^{3m}) / (q (q^2 - 1)),
-    which is 0 at m = 0 and 1; equals the m-tuple census divided by
-    |PGL_2(F_q)|.
+    """Largest k such that M_2(F_q)^k admits m generators: the number of
+    generating m-tuples (gen_numerator_2x2) divided by |PGL_2(F_q)| =
+    q (q^2 - 1), which is 0 at m = 0 and 1.
     """
-    _require_field(q)
-    if m < 0:
-        raise DomainError("formula holds for m >= 0")
-    _require_digits(q, 4 * m)
-    num = q ** (4 * m) + q ** (2 * m + 1) - q ** (3 * m + 1) - q ** (3 * m)
-    den = q * (q * q - 1)
+    num, den = gen_numerator_2x2(q, m), pgl_order(q, 2)
     if num % den:
         raise InvariantError("q (q^2 - 1) does not divide the 2x2 numerator; bug")
     return num // den
@@ -629,26 +624,27 @@ def generating_series_check(q: int, upto_m: int) -> bool:
     return True
 
 
-def min_generators_M2Z(k: int) -> int:
-    """Smallest number of generators of the ring M_2(Z)^k."""
+def least_generators_2x2(q: int, k: int) -> int:
+    """Least m >= 2 with gen_value_2x2(q, m) >= k: the number of generators
+    M_2(F_q)^k needs (two for every k up to gen_value_2x2(q, 2))."""
     if k < 1:
         raise DomainError("k must be >= 1")
     m = 2
-    while integer_gen_formula(m) < k:
+    while gen_value_2x2(q, m) < k:
         m += 1
     return m
+
+
+def min_generators_M2Z(k: int) -> int:
+    """Smallest number of generators of the ring M_2(Z)^k: the least m with
+    integer_gen_formula(m) >= k, which is least_generators_2x2(2, k)."""
+    return least_generators_2x2(2, k)
 
 
 def integer_gen_formula(m: int) -> int:
     """Largest k such that M_2(Z)^k admits m generators:
     (16^m - 3*8^m + 2*4^m) / 6, the q = 2 value of the field formula."""
-    if m < 0:
-        raise DomainError("formula holds for m >= 0")
-    _require_digits(2, 4 * m)
-    num = 16**m - 3 * 8**m + 2 * 4**m
-    if num % 6:
-        raise InvariantError("6 does not divide the integer numerator; bug")
-    return num // 6
+    return gen_value_2x2(2, m)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,8 @@ def _cmd_construct(args) -> int:
     if recipe == "xy":
         fam = construct.standard_xy_family(args.n, _parse_domain(args.domain))
     elif recipe in ("gap-plus", "gap-double"):
+        if args.src is None:
+            raise DomainError(f"--recipe {recipe} needs --src, an input tuple file")
         base = tuplefile.load_path(args.src)
         fam = construct.GeneratorFamily(
             shape=base.shape, generators=base.generators,

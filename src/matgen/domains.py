@@ -235,7 +235,55 @@ def _is_irreducible(coeffs, p) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class PrimeField:
+class _Domain:
+    """What the four coefficient domains share: 0 and 1 as ints, elements
+    written by str, equality and hashing through the class's _key(), and
+    row operations through the domain's own methods."""
+
+    __slots__ = ()
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def is_zero(self, a) -> bool:
+        return a == 0
+
+    def is_unit(self, a) -> bool:
+        return a != 0
+
+    def format_elem(self, a) -> str:
+        return str(a)
+
+    def _key(self) -> tuple:
+        return ()
+
+    def __eq__(self, other):
+        return other is self or (type(other) is type(self)
+                                  and other._key() == self._key())
+
+    def __hash__(self):
+        return hash((self.kind, *self._key()))
+
+    def row_ops(self):
+        """(sub_mul, scale, inv) for rows over this field, where
+        sub_mul(v, c, row) is v - c row and scale(c, row) is c row.
+        linalg.Echelon and the F_{p^k} span closure
+        (generation._spin_up_fq) fetch them once per basis or closure."""
+        sub, mul = self.sub, self.mul
+
+        def sub_mul(v, c, row):
+            return [sub(a, mul(c, b)) for a, b in zip(v, row)]
+
+        def scale(c, row):
+            return [mul(c, b) for b in row]
+
+        return sub_mul, scale, self.inv
+
+
+class PrimeField(_Domain):
     """F_p with elements as int residues in [0, p)."""
 
     kind = "prime_field"
@@ -255,12 +303,6 @@ class PrimeField:
     @property
     def size(self) -> int:
         return self.p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def convert(self, n: int):
         return n % self.p
@@ -291,17 +333,22 @@ class PrimeField:
     def elements(self):
         return range(self.p)
 
-    def format_elem(self, a) -> str:
-        return str(a)
-
     def parse_elem(self, s: str):
         return _parse_residue(s, self.p)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+    def _key(self) -> tuple:
+        return (self.p,)
 
-    def __hash__(self):
-        return hash(("prime_field", self.p))
+    def row_ops(self):
+        p = self.p
+
+        def sub_mul(v, c, row):
+            return [(a - c * b) % p for a, b in zip(v, row)]
+
+        def scale(c, row):
+            return [c * b % p for b in row]
+
+        return sub_mul, scale, lambda c: pow(c, -1, p)
 
     def __repr__(self):
         return f"F{self.p}"
@@ -310,7 +357,7 @@ class PrimeField:
 TABLE_MAX = 64  # extension fields up to this order get full operation tables
 
 
-class ExtField:
+class ExtField(_Domain):
     """F_{p^k} as F_p[t]/(modulus).
 
     An element is the int sum c_j p^j over its coefficient vector, c_0 the
@@ -373,12 +420,6 @@ class ExtField:
     def size(self) -> int:
         return self.q
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def gen(self):
         """The class of t, a root of the modulus."""
         return self.p
@@ -422,11 +463,21 @@ class ExtField:
         return self._join(_poly_powmod(self._digits(a), self.q - 2,
                                        self.modulus, self.p))
 
-    def is_zero(self, a) -> bool:
-        return a == 0
+    def row_ops(self):
+        """Lookups in the flat tables, or the domain methods without them."""
+        if self._mul is None:
+            return super().row_ops()
+        q, sub, mult = self.q, self._sub, self._mul
 
-    def is_unit(self, a) -> bool:
-        return a != 0
+        def sub_mul(v, c, row):
+            cq = c * q
+            return [sub[a * q + mult[cq + b]] for a, b in zip(v, row)]
+
+        def scale(c, row):
+            cq = c * q
+            return [mult[cq + b] for b in row]
+
+        return sub_mul, scale, self._inv.__getitem__
 
     def elements(self):
         """Every element, in lexicographic order of (c_0, ..., c_{k-1})."""
@@ -442,34 +493,20 @@ class ExtField:
             raise DomainError(f"expected {self.k} coefficients, got {s!r}")
         return self._join([_parse_residue(c, self.p) for c in coeffs])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtField)
-            and other.p == self.p
-            and other.k == self.k
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("ext_field", self.p, self.k, self.modulus))
+    def _key(self) -> tuple:
+        return (self.p, self.k, self.modulus)
 
     def __repr__(self):
         return f"F{self.p}^{self.k}"
 
 
-class IntegerRing:
+class IntegerRing(_Domain):
     kind = "integers"
     is_field = False
 
     @property
     def char(self) -> int:
         return 0
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def convert(self, n: int):
         return int(n)
@@ -486,29 +523,17 @@ class IntegerRing:
     def neg(self, a):
         return -a
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def is_unit(self, a) -> bool:
         return a in (1, -1)
 
-    def format_elem(self, a) -> str:
-        return str(a)
-
     def parse_elem(self, s: str):
         return int(s)
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("integers")
 
     def __repr__(self):
         return "Z"
 
 
-class RationalField:
+class RationalField(_Domain):
     kind = "rationals"
     is_field = True
 
@@ -542,12 +567,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def is_unit(self, a) -> bool:
-        return a != 0
-
     def format_elem(self, a) -> str:
         a = Fraction(a)
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
@@ -557,12 +576,6 @@ class RationalField:
         # and building "1e10000000" from its 10 characters took 13 s
         num, slash, den = s.partition("/")
         return Fraction(int(num), int(den) if slash else 1)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rationals")
 
     def __repr__(self):
         return "Q"

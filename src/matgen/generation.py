@@ -18,7 +18,6 @@ from .linalg import (
     ALL_LINES,
     Echelon,
     Mat,
-    _row_ops,
     check_entries,
     commutator,
     det,
@@ -304,10 +303,10 @@ def _spin_up_fq(S, sizes, field, include_identity: bool) -> int:
     A generator g is prepared once as its copies' negated rows, so block
     row i of a product u g, the sum over s of u_is times row s of g, is
     built by subtracting u_is times negated row s, skipping the zero u_is.
-    The arithmetic is linalg._row_ops': lookups in the flat ExtField tables
-    up to TABLE_MAX, the field's methods above.
+    The arithmetic is the field's row_ops(): lookups in the flat ExtField
+    tables up to TABLE_MAX, the field's methods above.
     """
-    sub_mul = _row_ops(field)[0]
+    sub_mul = field.row_ops()[0]
 
     def negated_rows(elem):
         return [(n, [[field.neg(x) for x in row] for row in a.rows], [0] * n)

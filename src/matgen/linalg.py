@@ -210,44 +210,6 @@ def _berkowitz(rows, d):
 # echelon forms and kernels over a field
 
 
-def _row_ops(f):
-    """(sub_mul, scale, inv) for rows over the field f, where
-    sub_mul(v, c, row) is v - c row and scale(c, row) is c row: int
-    arithmetic mod p over F_p, lookups in the flat tables of an ExtField
-    that has them, the domain methods over every other field.  Echelon
-    and the F_{p^k} span closure (generation._spin_up_fq) run on them."""
-    if f.kind == "prime_field":
-        p = f.p
-
-        def sub_mul(v, c, row):
-            return [(a - c * b) % p for a, b in zip(v, row)]
-
-        def scale(c, row):
-            return [c * b % p for b in row]
-
-        return sub_mul, scale, lambda c: pow(c, -1, p)
-    if f.kind == "ext_field" and f._mul is not None:
-        q, sub, mult = f.q, f._sub, f._mul
-
-        def sub_mul(v, c, row):
-            cq = c * q
-            return [sub[a * q + mult[cq + b]] for a, b in zip(v, row)]
-
-        def scale(c, row):
-            cq = c * q
-            return [mult[cq + b] for b in row]
-
-        return sub_mul, scale, f._inv.__getitem__
-
-    def sub_mul(v, c, row):
-        return [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-
-    def scale(c, row):
-        return [f.mul(c, b) for b in row]
-
-    return sub_mul, scale, f.inv
-
-
 class Echelon:
     """Incremental semi-echelon basis of a span over a field (Parker's
     MeatAxe).
@@ -258,13 +220,14 @@ class Echelon:
     vector: at each pivot where it holds c, its part from the pivot on drops
     by c tail.  Entries are canonical, so zero is the only falsy one and the
     loops test them directly; field.is_zero would show in the F_{p^k} span
-    closures.  reduced() back-substitutes to the reduced row echelon form.
+    closures.  The row operations are the field's row_ops(), fetched once
+    per basis.  reduced() back-substitutes to the reduced row echelon form.
     """
 
     def __init__(self, field):
         self.field = field
         self.basis = []
-        self._ops = _row_ops(field)
+        self._ops = field.row_ops()
 
     @property
     def dim(self) -> int:
@@ -399,13 +362,7 @@ def quadratic_eigvecs(a: Mat):
         else:
             v = (E.neg(dd), cc)
         lines.append(_normalize_line(v, E))
-    # a repeated eigenvalue yields the same line once
-    seen, out = set(), []
-    for v in lines:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+    return lines
 
 
 def _normalize_line(v, E):

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .census import gen_value_2x2
+from .census import least_generators_2x2
 from .conjugacy import _stacked_rows, nonconjugate_all_primes
 from .domains import ZZ, DomainError, InvariantError
 from .generation import (
@@ -196,17 +196,8 @@ def local_global_generator_count(k: int) -> LocalGlobalReport:
     r(p) exceeds r0, r = max_p r(p), attained at p = 2; otherwise k <= 16
     and the certified 16-pair table settles r = 2.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
     r0 = 2
-
-    def r_of(p):
-        m = 2
-        while gen_value_2x2(p, m) < k:
-            m += 1
-        return m
-
-    table = tuple((p, r_of(p)) for p in SWEEP_PRIMES)
+    table = tuple((p, least_generators_2x2(p, k)) for p in SWEEP_PRIMES)
     rmax = max(r for _, r in table)
     max_at_2 = table[0][1] == rmax
     if rmax > r0:

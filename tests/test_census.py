@@ -36,7 +36,7 @@ from matgen.census import (
     resolve_threads,
 )
 from matgen import census
-from matgen.domains import DomainError, InvariantError, field_of_order
+from matgen.domains import DomainError, InvariantError, field_of_order, is_prime_power
 from matgen.generation import closure_generates, shape_of
 from matgen.linalg import Mat, det_rows, rref
 
@@ -78,9 +78,15 @@ def test_formula_numerator_and_inclusion_exclusion_steps():
     assert step1 == 60
     step2 = step1 + (q + 1) * q // 2 * (q ** (2 * m) - q**m)
     assert step2 == 96
-    for q, m in ((2, 2), (3, 2), (4, 2), (2, 3), (5, 3)):
-        assert gen_numerator_2x2(q, m) == \
-            pgl_order(q, 2) * gen_value_2x2(q, m)
+    # gen_value_2x2 divides the numerator by |PGL_2(F_q)|; both against
+    # their own expansions, typed out here
+    for q in [q for q in range(2, 50) if is_prime_power(q)]:
+        for m in range(9):
+            num = q ** (4 * m) + q ** (2 * m + 1) - q ** (3 * m + 1) - q ** (3 * m)
+            den = q * (q * q - 1)
+            assert pgl_order(q, 2) == den and num % den == 0
+            assert gen_numerator_2x2(q, m) == num
+            assert gen_value_2x2(q, m) == num // den
 
 
 def test_gen_value_1x1_conventions():
@@ -544,8 +550,10 @@ def test_min_generators_thresholds():
 
 
 def test_integer_formula_matches_field_formula_at_two():
-    for m in (2, 3, 4, 5):
-        assert integer_gen_formula(m) == gen_value_2x2(2, m)
+    for m in range(9):
+        num = 16**m - 3 * 8**m + 2 * 4**m
+        assert num % 6 == 0
+        assert integer_gen_formula(m) == gen_value_2x2(2, m) == num // 6
 
 
 def gap_monotonicity_check(q: int, n: int, m_max: int) -> bool:

@@ -417,6 +417,13 @@ def test_construct_malformed_arguments_exit_two(args, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("recipe", ["gap-plus", "gap-double"])
+def test_construct_gap_recipe_without_src_exits_two(recipe, capsys):
+    assert main(["construct", "--recipe", recipe]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--src" in err and "Traceback" not in err
+
+
 def test_construct_gap_recipes_round_trip(tmp_path, capsys):
     base = tmp_path / "xy.json"
     assert main(["construct", "--recipe", "xy", "--n", "2", "--domain", "f3",
@@ -472,6 +479,20 @@ def test_count_mode_validation():
                  "--mode", "complement"]) == 2
     assert main(["count", "--q", "2", "--n", "3", "--m", "1",
                  "--mode", "formula"]) == 2
+
+
+@pytest.mark.parametrize("mode", ["brute", "all"])
+@pytest.mark.parametrize("n, message", [
+    (1, "the brute-force census needs n >= 2"),
+    (0, "n must be >= 1"),
+    (-1, "n must be >= 1"),
+])
+def test_count_brute_refuses_n_below_two(n, message, mode, capsys):
+    assert main(["count", "--q", "2", "--n", str(n), "--m", "2",
+                 "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_count_and_bound_refuse_bad_q(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from matgen.domains import (
     ExtField,
     PrimeField,
     build_ext_field,
+    domain_from_json,
     field_of_order,
     is_prime,
     is_prime_power,
@@ -27,6 +29,32 @@ from matgen.domains import (
 def test_degree_one_extension_is_the_prime_field():
     assert build_ext_field(2, 1) == PrimeField(2)
     assert build_ext_field(13, 1) == PrimeField(13)
+    same = [PrimeField(5), build_ext_field(5, 1), field_of_order(5),
+            domain_from_json({"kind": "prime_field", "p": 5})]
+    assert all(f == same[0] and hash(f) == hash(same[0]) for f in same)
+    # x^2 + 1 and x^2 + x + 2 are both irreducible over F_3
+    assert ExtField(3, 2, (1, 0, 1)) != ExtField(3, 2, (2, 1, 1))
+    assert ExtField(3, 2, (1, 0, 1)) == ExtField(3, 2, (1, 0, 1))
+    for a, b in itertools.combinations([ZZ, QQ, PrimeField(5)], 2):
+        assert a != b
+
+
+@pytest.mark.parametrize("q", [2, 7, 4, 9, 49, 81, 125, 0])
+def test_row_ops_match_the_field_methods(q):
+    # tabled (F_4, F_9, F_49) and untabled (F_81, F_125) extension fields,
+    # prime fields and Q (q = 0)
+    f = field_of_order(q) if q else QQ
+    sub_mul, scale, inv = f.row_ops()
+    rng = random.Random(q)
+    draw = ((lambda: rng.randrange(q)) if q
+            else (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+    for _ in range(50):
+        v, row = [draw() for _ in range(6)], [draw() for _ in range(6)]
+        c = draw()
+        assert sub_mul(v, c, row) == [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+        assert scale(c, row) == [f.mul(c, b) for b in row]
+        if c:
+            assert inv(c) == f.inv(c)
 
 
 def test_is_prime_power():

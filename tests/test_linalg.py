@@ -559,6 +559,7 @@ def test_eigenlines_are_invariant(field):
         if lines == ALL_LINES:
             continue
         assert 1 <= len(lines) <= 2
+        assert len(set(lines)) == len(lines)
         for v in lines:
             assert line_is_invariant(v, a, E, embed)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from matgen.conjugacy import _stacked_rows
+from matgen.census import min_generators_M2Z
 from matgen.construct import TABLE16_PAIRS, standard_xy, table16
 from matgen.domains import QQ, ZZ, DomainError
 from matgen.generation import (
@@ -174,11 +175,13 @@ def test_local_global_generator_count_examples():
 
 
 def test_local_global_prime_table_monotone():
-    for k in (5, 16, 17, 100, 448, 449, 5000):
+    # every k up to 2000 crosses the steps at 16/17 and 448/449
+    for k in (*range(1, 2001), 5000):
         rep = local_global_generator_count(k)
         values = [r for _, r in rep.r_table]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert rep.max_at_2
+        assert rep.r == min_generators_M2Z(k)
 
 
 def test_verdict_json_round_trips():
