@@ -250,14 +250,19 @@ def nonconjugate_all_primes(tuple_a, tuple_b) -> NonConjCertificate:
     on it decides them all: det_vanishes_on_kernel when det is 0 at every
     point of _span_points on the grid 0..n.  The exceptional primes are
     decided one by one.  The polarization fields are the first points' dets.
-    The stacked system is built once: the integer kernel, the SNF and every
-    mod-p kernel come from its rows.
+    The stacked system is built once: the SNF, the integer kernel and every
+    mod-p kernel come from its rows.  The SNF comes first: a system with n^2
+    nonzero divisors has full column rank, so its kernel is {0} and no HNF
+    of (M^T | I) is built for it.
     """
     if tuple_a.domain != ZZ or tuple_b.domain != ZZ:
         raise DomainError("all-primes certification works over Z")
     rows = _stacked_rows(tuple_a, tuple_b, ZZ)
-    space = _kernel_space(integer_kernel_saturated(rows, tuple_a.n ** 2),
-                          tuple_a, tuple_b)
+    width = tuple_a.n ** 2
+    divisors = snf(rows)
+    kernel = integer_kernel_saturated(rows, width) \
+        if sum(1 for d in divisors if d) < width else []
+    space = _kernel_space(kernel, tuple_a, tuple_b)
     dim = space.dim
     points = _span_points(space.basis, range(tuple_a.n + 1))
     form = list(itertools.islice(points, dim * (dim + 1) // 2))
@@ -268,7 +273,7 @@ def nonconjugate_all_primes(tuple_a, tuple_b) -> NonConjCertificate:
     bound = next((abs(d) for _, d in itertools.chain(form, points) if d != 0), 0)
     vanishes = bound == 0
 
-    exceptional = sorted({2}.union(*(_prime_factors(abs(d)) for d in snf(rows))))
+    exceptional = sorted({2}.union(*(_prime_factors(abs(d)) for d in divisors)))
 
     verdicts = {p: _modp_verdict(tuple_a, tuple_b, rows, p)
                 for p in exceptional}
@@ -403,14 +408,21 @@ def conjugate_mod_p_bruteforce(tuple_a, tuple_b, p: int) -> Optional[Mat]:
     (x1, x2 | x3, x4) of the p^2 x p^2 grid solves every equation exactly
     when its two halves agree on every code.  When a single code holds all
     equations and stays below 2^31, the codes themselves are compared, in
-    the narrowest unsigned type that holds them.  Otherwise each code is
-    replaced by its rank among the 2 p^2 codes of both halves, runs are
-    combined as rank_prev 2 p^2 + rank and ranked again, and the ranks are
-    compared (uint16 for p <= 31): equal ranks mean equal codes, so the
-    comparison is the same.  Every cell is compared, once, and masked by
-    det C != 0, with no early exit and no sampling, so the search stays
-    exhaustive; row-major order on the grid is lexicographic order on
-    (x1, x2, x3, x4), so the first surviving cell is the first solution.
+    the narrowest unsigned type that holds them, on every row.  Otherwise
+    each code is replaced by its rank among the 2 p^2 codes of both halves,
+    runs are combined as rank_prev 2 p^2 + rank and ranked again, and the
+    ranks are compared (uint16 for p <= 31): equal ranks mean equal codes,
+    so the comparison is the same.  On that path a row (x1, x2) is compared
+    only when its rank occurs among the second half's ranks: a row whose
+    rank occurs nowhere there equals no column on every code, so it holds
+    no solution and dropping it skips none.  The kept rows are the preimage
+    under h of the image of l, a subspace of F_p^2, so there are 1, p or
+    p^2 of them; when all p^2 are kept the grid is compared whole, with no
+    copy of the det mask.  The compared cells are masked by det C != 0,
+    with no early exit and no sampling, so the search stays exhaustive;
+    the kept rows stay ascending and row-major order on the grid is
+    lexicographic order on (x1, x2, x3, x4), so the first surviving cell
+    is the first solution.
     """
     if tuple_a.n != 2 or tuple_b.n != 2:
         raise DomainError("brute force sweep handles 2x2 tuples")
@@ -444,6 +456,7 @@ def conjugate_mod_p_bruteforce(tuple_a, tuple_b, p: int) -> Optional[Mat]:
         per_code += 1
     codes = [p ** np.arange(len(run), dtype=np.int64) @ run
              for run in (res[s:s + per_code] for s in range(0, len(forms), per_code))]
+    rows = slice(None)
     if len(codes) == 1 and p ** len(forms) < 1 << 31:
         key = codes[0].astype(np.min_scalar_type(p ** len(forms) - 1))
     else:
@@ -452,11 +465,21 @@ def conjugate_mod_p_bruteforce(tuple_a, tuple_b, p: int) -> Optional[Mat]:
             rank = np.unique(code, return_inverse=True)[1]
             key = np.unique(key * (2 * half) + rank, return_inverse=True)[1]
         key = key.astype(np.min_scalar_type(2 * half))
-    hit = key[:half, None] == key[None, half:]
-    hit &= ok
+        # only the rows whose rank some column has; if that is every row,
+        # the grid is compared in place, without a copy of ok
+        seen = np.zeros(2 * half, dtype=bool)
+        seen[key[half:]] = True
+        kept = np.flatnonzero(seen[key[:half]])
+        if len(kept) < half:
+            rows = kept
+    hit = key[:half][rows, None] == key[None, half:]
+    hit &= ok[rows]
     idx = int(hit.argmax())
     if not hit.flat[idx]:
         return None
-    (x1, x2), (x3, x4) = (divmod(h, p) for h in divmod(idx, half))
+    i, j = divmod(idx, half)
+    if not isinstance(rows, slice):
+        i = int(rows[i])
+    (x1, x2), (x3, x4) = divmod(i, p), divmod(j, p)
     f = build_ext_field(p, 1)
     return mat(f, [[x1, x2], [x3, x4]])

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from gl2_dense import dense_sweep
 from matgen.conjugacy import (
     RHO_ITERATIONS,
     UndecidableError,
@@ -541,8 +542,8 @@ def test_sweep_matches_plain_lexicographic_search():
 
 
 def test_sweep_outputs_pinned():
-    # digest of the witnesses (or None) of the sweep that gathered the
-    # columns of GL_2(F_p) per component, at all 11 primes up to 31
+    # digest of the witnesses (or None) of the sweep at all 11 primes up to
+    # 31, taken when it still compared every cell of the p^2 x p^2 grid
     outputs = []
     for ta, tb in _sweep_cases():
         for p in SWEEP_PRIMES:
@@ -564,11 +565,13 @@ def _conjugated_case(rng, m):
 
 
 def test_sweep_comparison_paths_match_plain_search():
-    # at p = 17 the m = 1 codes (17^4 < 2^31) are compared directly, the
-    # m = 2 codes (17^8 > 2^31) by rank, and the m = 4 codes (16 equations,
-    # 15 per code) by ranks combined over two runs.  The pairs are conjugate,
-    # so the plain search stops at the first conjugator instead of scanning
-    # all 17^4 cells; every cell before it must fail on the sweep as well.
+    # at p = 17 the m = 1 codes (17^4 < 2^31) are compared directly on
+    # every row, the m = 2 codes (17^8 > 2^31) by rank, and the m = 4 codes
+    # (16 equations, 15 per code) by ranks combined over two runs; on both
+    # rank paths only the rows whose rank occurs among the columns are
+    # compared.  The pairs are conjugate, so the plain search stops at the
+    # first conjugator instead of scanning all 17^4 cells; every cell before
+    # it must fail on the sweep as well.
     rng = random.Random(17)
     for m in (1, 2, 4):
         for _ in range(2):
@@ -579,19 +582,65 @@ def test_sweep_comparison_paths_match_plain_search():
 
 
 def test_sweep_memory_stays_below_two_bool_grids():
-    # one p^4 bool grid per pass, no int64 grid (8 p^4 bytes)
+    # one p^4 bool grid per pass, no int64 grid (8 p^4 bytes); equal scalar
+    # tuples keep every row, which is compared without a copy of the det mask
     import tracemalloc
 
     p = 31
-    ta, tb = _conjugated_case(random.Random(3), 4)
-    conjugate_mod_p_bruteforce(ta, tb, p)  # the cached candidate grid
-    tracemalloc.start()
-    try:
-        conjugate_mod_p_bruteforce(ta, tb, p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * p ** 4 + 64 * 1024
+    scalar = mat_tuple([mat(ZZ, [[3, 0], [0, 3]])] * 4)
+    for ta, tb in (_conjugated_case(random.Random(3), 4), (scalar, scalar)):
+        conjugate_mod_p_bruteforce(ta, tb, p)  # the cached candidate grid
+        tracemalloc.start()
+        try:
+            conjugate_mod_p_bruteforce(ta, tb, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * p ** 4 + 64 * 1024
+
+
+def _row_filter_cases():
+    """Pairs that reach the direct code (m = 1), a single rank (m = 2, 3)
+    and combined ranks (m = 4) at p = 17 and 31.  On the rank paths the
+    sweep keeps every row of equal scalar tuples, p rows of a conjugate
+    pair, and only the zero row, whose cells are all singular, of zero
+    against identity and of most random pairs."""
+    scalar, zero, one = (mat(ZZ, [[c, 0], [0, c]]) for c in (3, 0, 1))
+    cases = [(mat_tuple([scalar] * m), mat_tuple([scalar] * m)) for m in (1, 4)]
+    cases += [(mat_tuple([zero] * m), mat_tuple([one] * m)) for m in (1, 2, 4)]
+    rng = random.Random(31)
+    for m in (1, 2, 3, 4):
+        cases.append(_conjugated_case(rng, m))
+        cases.append((rand_int_tuple(rng, m), rand_int_tuple(rng, m)))
+    return cases
+
+
+def test_sweep_matches_the_dense_sweep():
+    # the dense sweep compares all p^4 cells; the rows the sweep drops hold
+    # no key of the other half, so both return the same witness or None
+    for ta, tb in _sweep_cases() + _row_filter_cases():
+        for p in SWEEP_PRIMES:
+            w = conjugate_mod_p_bruteforce(ta, tb, p)
+            assert (None if w is None else w.rows) == dense_sweep(ta, tb, p)
+
+
+def test_sweep_uses_no_linear_algebra(monkeypatch):
+    import matgen.conjugacy as conjugacy
+    import matgen.linalg as linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep called the linear algebra")
+
+    for name in ("hnf", "snf", "kernel_basis", "det"):
+        monkeypatch.setattr(linalg, name, refuse)
+        if hasattr(conjugacy, name):
+            monkeypatch.setattr(conjugacy, name, refuse)
+    ta, tb = _conjugated_case(random.Random(8), 2)
+    for p in (5, 31):
+        w = conjugate_mod_p_bruteforce(ta, tb, p)
+        assert w is not None and w.rows == dense_sweep(ta, tb, p)
+    with pytest.raises(AssertionError, match="linear algebra"):
+        nonconjugate_all_primes(ta, tb)
 
 
 def test_sweep_refuses_tuples_it_cannot_read():
@@ -732,3 +781,90 @@ def test_3x3_pair_conjugate_only_above_the_enumeration_cap_is_decided():
     reduced = [mat_tuple([mat(fp, [[x % p for x in r] for r in m.rows])
                           for m in t.mats]) for t in (a, b)]
     assert simultaneously_conjugate(*reduced).rows == u.rows
+
+
+def _certificate_kernel_first(ta, tb):
+    """nonconjugate_all_primes in its earlier order: the saturated kernel
+    is built for every stacked system, full column rank included, and the
+    Smith form after it."""
+    import matgen.conjugacy as cj
+    from matgen.domains import is_prime
+    from matgen.linalg import integer_kernel_saturated, snf
+
+    rows = cj._stacked_rows(ta, tb, ZZ)
+    space = cj._kernel_space(integer_kernel_saturated(rows, ta.n ** 2), ta, tb)
+    dim = space.dim
+    points = cj._span_points(space.basis, range(ta.n + 1))
+    form = list(itertools.islice(points, dim * (dim + 1) // 2))
+    dets = tuple(d for _, d in form[:dim])
+    cross = tuple((i, j, d - dets[i] - dets[j]) for (i, j), (_, d)
+                  in zip(itertools.combinations(range(dim), 2), form[dim:]))
+    bound = next((abs(d) for _, d in itertools.chain(form, points) if d != 0), 0)
+    primes = {2}.union(*(cj._prime_factors(abs(d)) for d in snf(rows)))
+    verdicts = {p: cj._modp_verdict(ta, tb, rows, p) for p in sorted(primes)}
+    witness = None
+    if bound == 0:
+        witness = next(((p, verdicts[p].witness) for p in sorted(primes)
+                        if verdicts[p].invertible_found), None)
+    else:
+        for p in filter(is_prime, itertools.count(2)):
+            v = verdicts.get(p) or cj._modp_verdict(ta, tb, rows, p)
+            verdicts[p] = v
+            if v.invertible_found:
+                witness = (p, v.witness)
+                break
+            assert p <= bound
+    return cj.NonConjCertificate(
+        dim, bound == 0, dets, cross, tuple(verdicts[p] for p in sorted(verdicts)),
+        witness, bound == 0 and witness is None)
+
+
+def _unimodular3(rng):
+    """A product of three seeded shears I + s E_ij, and its inverse."""
+    u, u_inv = identity(ZZ, 3), identity(ZZ, 3)
+    for _ in range(3):
+        i, j = rng.sample(range(3), 2)
+        s = rng.choice((-2, -1, 1, 2))
+        u = mmul(u, madd(identity(ZZ, 3), smul(s, unit_mat(ZZ, 3, i, j))))
+        u_inv = mmul(madd(identity(ZZ, 3), smul(-s, unit_mat(ZZ, 3, i, j))), u_inv)
+    return u, u_inv
+
+
+def test_3x3_certificate_matches_the_kernel_first_order(monkeypatch):
+    # the saturated kernel is built only for rank-deficient systems (the
+    # conjugate copies); the generic pairs have full column rank, so kernel
+    # {0}, and every field of the certificate is as before
+    import matgen.conjugacy as conjugacy
+
+    calls = []
+    kernel = conjugacy.integer_kernel_saturated
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(conjugacy, "integer_kernel_saturated", counted)
+    rng = random.Random(33)
+    ranks = set()
+    for k in range(12):
+        a = [mat(ZZ, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+             for _ in range(2)]
+        if k % 2 == 0:
+            u, u_inv = _unimodular3(rng)
+            b = [mmul(mmul(u, x), u_inv) for x in a]
+        else:
+            b = [mat(ZZ, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+                 for _ in range(2)]
+        ta, tb = mat_tuple(a), mat_tuple(b)
+        calls.clear()
+        got = nonconjugate_all_primes(ta, tb).to_json()
+        want = _certificate_kernel_first(ta, tb).to_json()
+        assert got.keys() == want.keys()
+        for field in want:
+            assert got[field] == want[field], field
+        deficient = got["rational_kernel_dim"] > 0
+        assert len(calls) == deficient
+        if k % 2 == 0:
+            assert deficient and not got["overall"]
+        ranks.add(deficient)
+    assert ranks == {False, True}
