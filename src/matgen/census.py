@@ -9,21 +9,30 @@ every closed formula and bound used downstream.
 
 The enumeration engine numbers matrices by integer ids, their entries as
 base-q digits, over flat numpy tables of field_of_order(q)'s operations.
-Every tuple is tested, a block of tuples per numpy call.  The brute
-force decides a block with a batched span closure: per-tuple echelon bases,
-grown level by level from the products of the newly added rows with the
-generators until a tuple reaches rank n^2 or a level adds nothing.  Up to
-ID_TABLE_MAX matrices a vector is one matrix id, and a product, a scaling
-or a difference of matrices is one gather from a table over all pairs;
-above it a vector is its n^2 field entries, and each entry operation is a
-gather.  The tables take 3.0 MB at the largest size under the cap, (5, 2);
-the kernel's other memory grows with the block size and n.  The orbit count
+Every tuple gets its own verdict, a block of tuples per numpy call, from a
+fold over its components: the state starts at the zero algebra and becomes
+the algebra generated by the state and the next matrix, read off a
+transition table of subalgebras (_Transitions), and the tuple generates when
+the last step reaches M_n(F_q).  A tuple's algebra depends only on that of
+its first m - 1 components and its last one, and M_n(F_q) has few
+subalgebras (2q^2 + 6q + 8 at n = 2, against q^(4m) tuples), so a warm
+census costs m gathers per tuple.
+
+The table's rows are built on first use by the one batched span closure,
+the level loop (_generates_block): per-tuple echelon bases, grown level by
+level from the products of the newly added rows with the generators until
+a tuple reaches rank n^2 or a level adds nothing.  Up to ID_TABLE_MAX
+matrices a vector is one matrix id, and a product, a scaling or a
+difference of matrices is one gather from a table over all pairs; above it
+a vector is its n^2 field entries, and each entry operation is a gather.
+The tables take 3.0 MB at the largest size under the cap, (5, 2); the
+loop's other memory grows with the block size and n.  The orbit count
 compares the ids of a block of generating tuples with those of their PGL
 images; the complement count ANDs the subalgebra membership masks of a
 block of tuples.
 
-The kernel indexes the tuple axis only through flat integer indices: the
-tuples still open are kept by take at np.flatnonzero of their mask, the
+The level loop indexes the tuple axis only through flat integer indices:
+the tuples still open are kept by take at np.flatnonzero of their mask, the
 new row of tuple t is candidate k at k B + t in the flattened candidates,
 and the frontier is one scatter by cumulative-sum rank.  No boolean mask,
 paired fancy index or sort runs on that axis.
@@ -46,11 +55,14 @@ from .linalg import det_rows, kernel_basis, rref, subspace_intersection
 
 CENSUS_CAP = 2**26
 # A census uses at most one worker process per this many ambient tuples.
-# Measured on 2 cores with the id kernel, fresh processes, medians, one
-# worker -> two: (5,2,2) 0.332 -> 0.323 s (9 runs, a tie), (2,3,2) 0.783 ->
-# 0.507 s and (3,2,3) 0.490 -> 0.373 s (5 runs).  2^18 would put (2,3,2)
-# on one worker.
-TUPLES_PER_WORKER = 2**17
+# Measured on 2 cores with the transition fold, fresh processes, medians of
+# 5 alternated runs, one worker -> two: (5,2,2) 0.035 -> 0.108 s, (3,2,3)
+# 0.045 -> 0.074 s, (2,2,5) 0.047 -> 0.071 s, (7,2,2) 0.150 -> 0.190 s,
+# (4,2,3) 0.347 -> 0.232 s and (2,2,6) 0.508 -> 0.387 s.  Each worker
+# builds its own transition rows, and starting the pool costs tens of ms,
+# so two workers pay from 2^23 tuples.  (2,3,2), 2^18 tuples, is mostly
+# row builds and gains 0.258 -> 0.194 s, but runs in one process.
+TUPLES_PER_WORKER = 2**22
 
 
 # ---------------------------------------------------------------------------
@@ -98,20 +110,172 @@ def _digits(ids, base: int, count: int, dtype):
 
     out = np.empty((count, len(ids)), dtype)
     for i in range(count - 1, -1, -1):
-        ids, out[i] = np.divmod(ids, base)
+        # one floor division and a product: np.divmod takes twice as long
+        high = ids // base
+        out[i] = ids - high * base
+        ids = high
     return out
 
 
 def _block_verdicts(q: int, n: int, m: int, lo: int, hi: int):
     """Yield (comps, ok) per block of the m-tuples with ids in [lo, hi):
-    comps (m, B) holds their matrix ids and ok their generation mask."""
+    comps (m, B) holds their matrix ids and ok their generation mask, read
+    by folding each tuple's components through _transitions(q, n)."""
     import numpy as np
 
     N = q ** (n * n)
+    fold = _transitions(q, n)
     for start in range(lo, hi, BLOCK):
         ids = np.arange(start, min(start + BLOCK, hi), dtype=np.int64)
         comps = _digits(ids, N, m, np.int64)
-        yield comps, _generates_block(comps, q, n)
+        yield comps, fold.verdicts(comps)
+
+
+@lru_cache(maxsize=None)
+def _transitions(q: int, n: int) -> "_Transitions":
+    return _Transitions(q, n)
+
+
+class _Transitions:
+    """The subalgebras of M_n(F_q) met so far, with their transition rows.
+
+    A state is a subalgebra, known by its reduced row echelon basis as
+    matrix ids by pivot column (0 where a column has no row), numbered in
+    the order first met: 0 is the zero algebra and 1 all of M_n(F_q).
+    table("step")[s, A] is the state of the algebra generated by s and the
+    matrix with id A, and table("full")[s, A] is 1 when that algebra is all
+    of M_n(F_q), else 0; an entry not built yet reads -1.  The full state's
+    rows are 1 without a closure.  The step table is made only when a fold
+    first reads it, at m >= 2, so a census of single matrices keeps one
+    byte per matrix and state.
+
+    Rows are built when a fold first reads -1: the rows of every missing
+    state of the block by runs of the level loop (_generates_block), each
+    on BLOCK (state, matrix) pairs, seeded with the generating prefix the
+    state was first met by, plus the matrix.  A full row needs only the
+    loop's mask; a step row also reduces each closure to its reduced basis.
+    alg(s, A) = alg(s, c (A - x)) for x in s and c != 0, so the loop closes
+    one representative per class of F_q^* (A + s), and every pair reads its
+    class's answer."""
+
+    def __init__(self, q: int, n: int):
+        import numpy as np
+
+        d = n * n
+        self.q, self.n, self.N = q, n, q ** d
+        self.weights = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        # the zero algebra, and the full one, whose basis is the units E_c
+        self.basis = [np.zeros(d, np.int64), self.weights]
+        self.ids = {b.tobytes(): s for s, b in enumerate(self.basis)}
+        self.prefix = [(), None]  # generating matrix ids; none for the full
+        self.tables = {}
+
+    def table(self, name: str):
+        """The step (intp) or full (int8) table, with a row per state met."""
+        import numpy as np
+
+        old = self.tables.get(name)
+        if old is not None and len(old) >= len(self.prefix):
+            return old
+        rows = len(self.prefix) if old is None else max(len(self.prefix), 2 * len(old))
+        new = np.full((rows, self.N), -1, np.intp if name == "step" else np.int8)
+        if old is not None:
+            new[:len(old)] = old
+        new[1] = 1
+        self.tables[name] = new
+        return new
+
+    def verdicts(self, comps):
+        """Generation mask of a block of m-tuples of matrix ids, (m, B): the
+        state starts at the zero algebra and moves by step[state, A_i] for
+        every component but the last, whose full[state, A_m] is the
+        verdict.  alg(A_1..A_k) is the algebra generated by alg(A_1..A_k-1)
+        and A_k, so this is exact."""
+        import numpy as np
+
+        m, nt = comps.shape
+        state = np.zeros(nt, np.intp)
+        for i in range(m):
+            name = "full" if i + 1 == m else "step"
+            at = state * self.N + comps[i]
+            nxt = self.table(name).take(at)
+            if nxt.min(initial=0) < 0:
+                self._build(state.take(np.flatnonzero(nxt < 0)), name == "step")
+                nxt = self.table(name).take(at)
+            state = nxt
+        return state == 1  # at m = 0 every tuple is the zero algebra
+
+    def _build(self, states, steps: bool) -> None:
+        """The full rows of states, and with steps their step rows too."""
+        import numpy as np
+
+        q, n, N = self.q, self.n, self.N
+        d = n * n
+        mark = np.zeros(len(self.prefix), bool)
+        mark[states] = True
+        states = np.flatnonzero(mark)
+        width = max(len(self.prefix[s]) for s in states.tolist())
+        seeds = np.zeros((width, len(states)), np.int64)  # zero pads
+        for j, s in enumerate(states.tolist()):
+            seeds[:len(self.prefix[s]), j] = self.prefix[s]
+        bases = np.concatenate([self.basis[s] for s in states.tolist()])
+        rows = _digits(bases, q, d, _field_arrays(q)[3].dtype).reshape(d, -1, d)
+        pairs = len(states) * N
+        for start in range(0, pairs, BLOCK):
+            # pair k: state states[k // N] and the matrix k % N.  A class's
+            # representative has the least id in it, so its pair comes first
+            owner, mat = _digits(np.arange(start, min(start + BLOCK, pairs),
+                                           dtype=np.int64), N, 2, np.int64)
+            rep = self._classes(rows, owner, mat)
+            own = np.flatnonzero(rep == mat)
+            source, reps = owner.take(own), mat.take(own)
+            comps = np.concatenate([seeds.take(source, 1), reps[None]])
+            at = states.take(owner) * N
+            built = at.take(own) + reps
+            if steps:
+                ok, keys = _generates_block(comps, q, n, spans=True)
+                found = self._state_ids(keys, states.take(source).tolist(),
+                                        reps.tolist())
+                step = self.table("step").reshape(-1)
+                step[built] = found
+                step[at + mat] = step.take(at + rep)
+            else:
+                ok = _generates_block(comps, q, n)
+            full = self.table("full").reshape(-1)
+            full[built] = ok
+            full[at + mat] = full.take(at + rep)
+
+    def _classes(self, rows, owner, mat):
+        """The class representative of each matrix id mat modulo the state
+        whose basis entries are rows[:, owner] (entry, state, pivot): the
+        matrix reduced by that basis, scaled to a leading 1.  Its id is at
+        most mat's: the reduction zeroes the pivot entries, each the first
+        entry its row changes, and the scaling lowers the leading entry to
+        1."""
+        import numpy as np
+
+        shift, _, sub, mul, inv = _field_arrays(self.q)
+        red = _digits(mat, self.q, len(rows), rows.dtype)  # (d, B) entries
+        for c in np.flatnonzero(rows.any((0, 1))).tolist():
+            # an absent row is zero and reduces nothing
+            scaled = mul.take((red[c] << shift)[None] | rows[:, :, c].take(owner, 1))
+            red = sub.take((red << shift) | scaled)
+        lead = red.take((red != 0).argmax(0) * len(mat) + np.arange(len(mat)))
+        return self.weights @ mul.take((inv.take(lead) << shift)[None] | red)
+
+    def _state_ids(self, keys, owners, reps):
+        """The state id of each reduced basis key (B, d), numbering the new
+        ones; a new state's prefix is its owner's prefix plus its matrix."""
+        import numpy as np
+
+        found = []
+        rows = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1] * 8)))
+        for key, owner, rep in zip(rows.ravel().tolist(), owners, reps):
+            found.append(self.ids.setdefault(key, len(self.prefix)))
+            if found[-1] == len(self.prefix):
+                self.basis.append(np.frombuffer(key, np.int64))
+                self.prefix.append(self.prefix[owner] + (rep,))
+        return np.array(found, np.intp)
 
 
 @lru_cache(maxsize=None)
@@ -168,8 +332,11 @@ def _id_tables(q: int, n: int):
     return N, P, S, D, mats.astype(np.int32) * N, inv.astype(np.int32) * N
 
 
-def _generates_block(comps, q: int, n: int):
-    """Generation mask of a block of m-tuples of matrix ids, comps (m, B).
+def _generates_block(comps, q: int, n: int, spans: bool = False):
+    """Generation mask of a block of m-tuples of matrix ids, comps (m, B);
+    with spans also the (B, n^2) int64 keys of the algebras they generate,
+    each its reduced row echelon basis as matrix ids by pivot column, 0
+    where a column has no row.
 
     A matrix id's base-q digits, most significant first, are its entries in
     row-major order.  Span closure as a fixed point: level 0 inserts
@@ -187,26 +354,30 @@ def _generates_block(comps, q: int, n: int):
     d = n * n
     out = np.zeros(nt, bool)
     if m == 0 or nt == 0:
-        return out
+        return (out, np.zeros((nt, d), np.int64)) if spans else out
     if q ** d <= ID_TABLE_MAX:
         tables = _id_tables(q, n)
         gens = comps.astype(np.int32)[None]
-        insert, products = _insert_ids, _products_ids
+        insert, products, reduce = _insert_ids, _products_ids, _reduce_ids
     else:
         tables = _field_arrays(q)
         gens = _digits(comps.reshape(-1), q, d, tables[3].dtype).reshape(d, m, nt)
-        insert, products = _insert, _products
+        insert, products, reduce = _insert, _products, _reduce
     which = np.arange(nt)
     basis = np.zeros((len(gens), d, nt), gens.dtype)  # vector, pivot column, tuple
     present = np.zeros((d, nt), bool)
+    final = np.zeros_like(basis) if spans else None  # each tuple's last basis
     cand = gens.copy()
     for level in itertools.count():
         added = insert(cand, basis, present, tables)
         full = present.all(0)
         out[which] = full  # every tuple still in the block reads False so far
         keep = added.any(0) & ~full
+        if spans:
+            done = np.flatnonzero(~keep)
+            final[..., which.take(done)] = basis.take(done, -1)
         if not keep.any():
-            return out
+            return (out, reduce(final, q, tables)) if spans else out
         if not keep.all():
             idx = np.flatnonzero(keep)
             which, basis, present, added, gens = (
@@ -215,6 +386,34 @@ def _generates_block(comps, q: int, n: int):
         # the generators span the rows that level 0 added
         front = gens if level == 0 else _frontier(basis, added)
         cand = products(front, gens, n, tables)
+
+
+def _reduce_ids(basis, q: int, tables):
+    """Back-substitute id-layout echelon bases (1, d, B) into reduced row
+    echelon form: (B, d) int64 keys.  An absent row is id 0, which clears
+    nothing."""
+    import numpy as np
+
+    N, _, S, D, coef, _ = tables
+    rows = basis[0]
+    for c in range(1, len(rows)):
+        scaled = S.take(coef[c].take(rows[:c]) + rows[c])
+        rows[:c] = rows[:c] ^ scaled if D is None else D.take(rows[:c] * N + scaled)
+    return rows.T.astype(np.int64)
+
+
+def _reduce(basis, q: int, tables):
+    """_reduce_ids on entry-layout bases (d, d, B)."""
+    import numpy as np
+
+    shift, _, sub, mul, _ = tables
+    d = len(basis)
+    for c in range(1, d):
+        # row c is zero before column c; clear column c of the rows above it
+        prod = mul.take((basis[c, :c] << shift)[None] | basis[c:, c, None])
+        basis[c:, :c] = sub.take((basis[c:, :c] << shift) | prod)
+    w = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    return np.tensordot(w, basis, (0, 0)).T
 
 
 def _insert_ids(cand, basis, present, tables):
@@ -414,9 +613,12 @@ def count_generating_bruteforce(q: int, n: int, m: int,
                                 threads: Optional[int] = 1) -> CensusResult:
     """Exact count of generating m-tuples in M_n(F_q)^m by enumeration.
 
-    Deterministic partitioned enumeration (by first component); the result
-    does not depend on the worker count.  threads is an upper bound: small
-    censuses run in this process.
+    Every tuple is decided by folding its components through the
+    transition table of subalgebras (_Transitions), whose rows the level
+    loop builds the first time a tuple reaches their state.  Deterministic
+    partitioned enumeration (by first component); the result does not
+    depend on the worker count, and each worker builds the rows it meets.
+    threads is an upper bound: small censuses run in this process.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
