@@ -224,8 +224,9 @@ class _Transitions:
         for start in range(0, pairs, BLOCK):
             # pair k: state states[k // N] and the matrix k % N.  A class's
             # representative has the least id in it, so its pair comes first
-            owner, mat = _digits(np.arange(start, min(start + BLOCK, pairs),
-                                           dtype=np.int64), N, 2, np.int64)
+            k = np.arange(start, min(start + BLOCK, pairs), dtype=np.int64)
+            owner = k // N
+            mat = k - owner * N
             rep = self._classes(rows, owner, mat)
             own = np.flatnonzero(rep == mat)
             source, reps = owner.take(own), mat.take(own)

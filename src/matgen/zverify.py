@@ -9,16 +9,34 @@ is invertible: they are conjugate modulo no prime exactly when the rows of
 the system C A = B C (conjugacy._stacked_rows) span Z^{n^2}, that is, when
 its n^2 elementary divisors are all 1.  Both halves of the decision are
 lattice fullness.
+
+Most pairs are settled without that system.  Conjugate matrices have the
+same characteristic polynomial, so if two lattice-generating copies were
+conjugate modulo p, p would divide every difference of the characteristic
+polynomial coefficients of corresponding words in their generators
+(_words).  When the gcd of those differences is 1 they are conjugate
+modulo no prime, so by Schur every mod-p intertwiner is 0: all elementary
+divisors are 1 (_unit_divisors).  The precondition is needed, as without it
+a nonzero singular intertwiner can exist whatever the gcd.  A gcd other
+than 1, 0 included, proves nothing and the pair goes to the system as
+before, so the shortcut only ever answers "all divisors are 1".
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .census import least_generators_2x2
-from .conjugacy import _stacked_rows, nonconjugate_all_primes
+from .conjugacy import (
+    NonConjCertificate,
+    PrimeVerdict,
+    _stacked_rows,
+    nonconjugate_all_primes,
+)
 from .domains import ZZ, DomainError, InvariantError
 from .generation import (
     DirectSumShape,
@@ -26,13 +44,29 @@ from .generation import (
     lattice_generates_MnZ,
     mat_tuple,
 )
-from .linalg import commutator, det, lattice_from_rows, reduce_mod
+from .linalg import (
+    _berkowitz,
+    commutator,
+    det,
+    lattice_from_rows,
+    madd,
+    mmul,
+    reduce_mod,
+)
 
 # verify_z_tuples closes the whole integer family mod these primes as a
 # redundant oracle; a certified family that fails one raises InvariantError.
 SAMPLE_PRIMES = (2, 3, 5)
 # local_global_generator_count's primes.
 SWEEP_PRIMES = (2, 3, 5, 7, 11, 13)
+
+# What nonconjugate_all_primes returns for a system whose n^2 elementary
+# divisors are all 1: a zero kernel, on which det vanishes, no polarization
+# terms, and 2, the one exceptional prime, with a zero mod-2 kernel.
+_UNIT_DIVISORS_CERT = NonConjCertificate(
+    rational_kernel_dim=0, det_vanishes_on_kernel=True, polarization_dets=(),
+    polarization_cross=(), exceptional_primes=(PrimeVerdict(2, 0, False, None),),
+    witness=None, overall=True)
 
 
 def closure_mod_p(elems, shape: DirectSumShape, p: int):
@@ -98,16 +132,55 @@ def _copies(generators):
         (n_i, len(list(run))) for n_i, run in itertools.groupby(c.n for c in copies)))
 
 
+def _words(mats):
+    """The words whose characteristic polynomials _unit_divisors compares:
+    each generator A and A^2, and for each two A, B (in order) AB, A^2 B,
+    A B^2, A + B and ABAB."""
+    squares = [mmul(a, a) for a in mats]
+    words = [w for pair in zip(mats, squares) for w in pair]
+    for (a, a2), (b, b2) in itertools.combinations(zip(mats, squares), 2):
+        ab = mmul(a, b)
+        words += [ab, mmul(a2, b), mmul(a, b2), madd(a, b), mmul(ab, ab)]
+    return words
+
+
+def _schur_invariants(copy) -> list:
+    """The characteristic polynomial coefficients of the _words of a
+    lattice-generating copy, past each leading 1, in one list."""
+    return [c for w in _words(copy.mats) for c in _berkowitz(w.rows, ZZ)[1:]]
+
+
+def _paired_invariants(copies, lattice_ok) -> list:
+    """_schur_invariants of each lattice-generating copy that shares its
+    size with another copy, None for the others."""
+    sizes = Counter(c.n for c in copies)
+    return [_schur_invariants(c) if ok and sizes[c.n] > 1 else None
+            for c, ok in zip(copies, lattice_ok)]
+
+
+def _unit_divisors(inv_a, inv_b) -> bool:
+    """True when two lattice-generating copies with _schur_invariants inv_a
+    and inv_b are conjugate modulo no prime, so that the n^2 elementary
+    divisors of their system C A = B C are all 1: the gcd of the
+    differences is 1.  False proves nothing."""
+    return math.gcd(*(x - y for x, y in zip(inv_a, inv_b))) == 1
+
+
 def z_generates(generators: Sequence) -> bool:
     """Do k integer tuples (sequences of Mat, one per copy, of any sizes)
     generate the sum of their copies?  The exact decision of the module
     docstring: lattice closure per copy, then per pair of equal-size copies
-    the rows of C A = B C spanning Z^{n^2}."""
+    the rows of C A = B C spanning Z^{n^2}.  Every copy generates M_n(Z)
+    by then, so a pair whose invariants differ by gcd 1 (_unit_divisors)
+    is full without the system."""
     copies, _ = _copies(generators)
     if not all(lattice_generates_MnZ(c.mats, c.n)[0] for c in copies):
         return False
-    return all(lattice_from_rows(_stacked_rows(a, b, ZZ), a.n * a.n).is_full
-               for a, b in itertools.combinations(copies, 2) if a.n == b.n)
+    invariants = _paired_invariants(copies, [True] * len(copies))
+    return all(_unit_divisors(invariants[i], invariants[j])
+               or lattice_from_rows(_stacked_rows(a, b, ZZ), a.n * a.n).is_full
+               for (i, a), (j, b) in itertools.combinations(enumerate(copies), 2)
+               if a.n == b.n)
 
 
 def verify_z_tuples(generators: Sequence) -> ZGenVerdict:
@@ -122,6 +195,13 @@ def verify_z_tuples(generators: Sequence) -> ZGenVerdict:
     every kernel dimension at most 1, and overall exactly when all of them
     are 0.  A certified family must also close modulo every prime of
     SAMPLE_PRIMES.
+
+    Two lattice-generating copies whose invariants differ by gcd 1
+    (_unit_divisors) get _UNIT_DIVISORS_CERT without the certificate's
+    computation.  Their divisors are all 1, and for such a system the
+    certificate is forced: a zero rational kernel, on which det vanishes,
+    and 2, the only exceptional prime, with a zero mod-2 kernel.  Every
+    other pair gets nonconjugate_all_primes.
     """
     copies, shape = _copies(generators)
     k = copies[0].m
@@ -138,10 +218,15 @@ def verify_z_tuples(generators: Sequence) -> ZGenVerdict:
                     "det-commutator and lattice closure disagree; bug")
         componentwise.append(CrossSectionVerdict(i, lattice_ok, det_val, det_ok))
 
+    invariants = _paired_invariants(
+        copies, [cs.lattice_ok for cs in componentwise])
     pairwise = []
     for (i, a), (j, b) in itertools.combinations(enumerate(copies), 2):
         schur = componentwise[i].lattice_ok and componentwise[j].lattice_ok
         if a.n != b.n or (a.n >= 3 and not schur):
+            continue
+        if schur and _unit_divisors(invariants[i], invariants[j]):
+            pairwise.append((i, j, _UNIT_DIVISORS_CERT))
             continue
         cert = nonconjugate_all_primes(a, b)
         if schur:

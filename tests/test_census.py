@@ -354,7 +354,7 @@ def test_full_expansion_counts_the_subalgebras_of_m2(q, monkeypatch):
     N = q ** 4
     states = np.arange(len(fold.prefix))
     rows = census._digits(np.concatenate(fold.basis), q, 4, np.uint8).reshape(4, -1, 4)
-    owner, mat = census._digits(np.arange(len(states) * N), N, 2, np.int64)
+    owner, mat = np.divmod(np.arange(len(states) * N), N)
     rep = fold._classes(rows, owner, mat)
     assert (rep <= mat).all() and np.array_equal(fold._classes(rows, owner, rep), rep)
     # every step row is the reduced basis of its own closure, matrix by
@@ -371,6 +371,30 @@ def test_full_expansion_counts_the_subalgebras_of_m2(q, monkeypatch):
     entry = census._Transitions(q, 2)
     _expand(entry)
     assert entry.ids.keys() == fold.ids.keys()
+
+
+def test_fold_matches_the_level_loop_on_random_blocks_past_n_states():
+    # at (2, 3), N = 512: a fresh table meets more new states in one block
+    # than there are matrices, so one build splits pairs past N states
+    rng = np.random.default_rng(26)
+    fold = census._Transitions(2, 3)
+    for m in range(3, 7):
+        comps = rng.integers(0, fold.N, (m, BLOCK))
+        assert np.array_equal(fold.verdicts(comps), _generates_block(comps, 2, 3))
+    assert len(fold.prefix) > fold.N
+
+
+def test_one_build_over_more_states_than_matrices():
+    fold = census._Transitions(2, 2)
+    _expand(fold)
+    states = len(fold.prefix)
+    assert states == 28 > fold.N
+    want = [fold.table(name)[:states].copy() for name in ("step", "full")]
+    fold.tables.clear()
+    fold._build(np.delete(np.arange(states), 1), True)  # 1's rows need none
+    assert len(fold.prefix) == states
+    for name, rows in zip(("step", "full"), want):
+        assert np.array_equal(fold.table(name)[:states], rows)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (7, 2)])

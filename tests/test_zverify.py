@@ -1,3 +1,4 @@
+import importlib.resources
 import itertools
 import random
 from dataclasses import dataclass
@@ -5,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from matgen.conjugacy import _stacked_rows
+from matgen import construct, zverify
+from matgen.conjugacy import _stacked_rows, nonconjugate_all_primes
 from matgen.census import min_generators_M2Z
 from matgen.construct import TABLE16_PAIRS, standard_xy, table16
 from matgen.domains import QQ, ZZ, DomainError
@@ -25,7 +27,11 @@ from matgen.linalg import (
     snf,
     unit_mat,
 )
+from matgen.tuplefile import loads
 from matgen.zverify import (
+    _UNIT_DIVISORS_CERT,
+    _schur_invariants,
+    _unit_divisors,
     closure_mod_p,
     local_global_generator_count,
     verify_z_tuples,
@@ -320,3 +326,76 @@ def test_mixed_sizes_are_decided():
     duplicated = [(X2, X3, X2), (Y2, Y3, Y2)]
     assert not verify_z_tuples(duplicated).overall
     assert not z_generates(duplicated)
+
+
+# --- the characteristic-polynomial prefilter ----------------------------------
+
+def _pair_families():
+    """Pairs of lattice-generating copies, as two generators of two copies:
+    every pair of table16, of the gen16 fixture, and the seeded n = 2 and
+    n = 3 families above, some of them conjugate modulo a single prime."""
+    fixture = loads(importlib.resources.files("matgen").joinpath(
+        "fixtures", "gen16_pairs.json").read_text(encoding="utf-8"))
+    for fam in (table16().generators, fixture.generators):
+        copies = list(zip(*fam))
+        for a, b in itertools.combinations(copies, 2):
+            yield list(zip(a, b))
+    for n, count in ((2, 200), (3, 40)):
+        rng = random.Random(11)
+        for _ in range(count):
+            yield _seeded_pair(rng, n)
+
+
+def test_prefilter_agrees_with_the_certificate_and_the_system():
+    taken = skipped = 0
+    for generators in _pair_families():
+        a, b = (mat_tuple(copy) for copy in zip(*generators))
+        assert all(lattice_generates_MnZ(c.mats, c.n)[0] for c in (a, b))
+        full = lattice_from_rows(_stacked_rows(a, b, ZZ), a.n * a.n).is_full
+        assert z_generates(generators) == full
+        if _unit_divisors(_schur_invariants(a), _schur_invariants(b)):
+            taken += 1
+            assert full
+            assert _UNIT_DIVISORS_CERT.to_json() == \
+                nonconjugate_all_primes(a, b).to_json()
+            [(_, _, cert)] = verify_z_tuples(generators).pairwise
+            assert cert is _UNIT_DIVISORS_CERT
+        else:
+            skipped += 1
+    assert taken > 240 and skipped > 0
+
+
+def test_prefilter_needs_the_lattice_precondition():
+    # neither copy generates M_2(Z): (E_11, 0) and (E_11, E_22) differ in the
+    # trace of their second word by 1, yet C = E_11 intertwines them
+    e11, e22 = unit_mat(ZZ, 2, 0, 0), unit_mat(ZZ, 2, 1, 1)
+    zero = smul(0, e11)
+    a, b = mat_tuple([e11, zero]), mat_tuple([e11, e22])
+    assert not any(lattice_generates_MnZ(c.mats, 2)[0] for c in (a, b))
+    assert _unit_divisors(_schur_invariants(a), _schur_invariants(b))
+    cert = nonconjugate_all_primes(a, b)
+    assert cert.rational_kernel_dim == 1
+    assert not lattice_from_rows(_stacked_rows(a, b, ZZ), 4).is_full
+    generators = [(e11, e11), (zero, e22)]
+    [(_, _, got)] = verify_z_tuples(generators).pairwise
+    assert got.to_json() == cert.to_json() != _UNIT_DIVISORS_CERT.to_json()
+    assert not z_generates(generators)
+
+
+def test_table16_pairs_take_the_prefilter(monkeypatch):
+    calls = {"nonconjugate_all_primes": 0, "lattice_from_rows": 0}
+
+    def counting(name):
+        original = getattr(zverify, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(zverify, name, counting(name))
+    fam = construct.table16()
+    verdict = verify_z_tuples(fam.generators)
+    assert len(verdict.pairwise) == 120 and verdict.overall
+    assert calls == {"nonconjugate_all_primes": 0, "lattice_from_rows": 0}
