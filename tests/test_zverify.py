@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from matgen import construct, zverify
+from matgen import zverify
 from matgen.conjugacy import _stacked_rows, nonconjugate_all_primes
 from matgen.census import min_generators_M2Z
 from matgen.construct import TABLE16_PAIRS, standard_xy, table16
@@ -395,7 +395,8 @@ def test_table16_pairs_take_the_prefilter(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(zverify, name, counting(name))
-    fam = construct.table16()
+    table16.cache_clear()  # so its z_generates runs here
+    fam = table16()
     verdict = verify_z_tuples(fam.generators)
     assert len(verdict.pairwise) == 120 and verdict.overall
     assert calls == {"nonconjugate_all_primes": 0, "lattice_from_rows": 0}
