@@ -21,14 +21,11 @@ census costs m gathers per tuple.
 The table's rows are built on first use by the one batched span closure,
 the level loop (_generates_block): per-tuple echelon bases, grown level by
 level from the products of the newly added rows with the generators until
-a tuple reaches rank n^2 or a level adds nothing.  Up to ID_TABLE_MAX
-matrices a vector is one matrix id, and a product, a scaling or a
-difference of matrices is one gather from a table over all pairs; above it
-a vector is its n^2 field entries, and each entry operation is a gather.
-The tables take 3.0 MB at the largest size under the cap, (5, 2); the
-loop's other memory grows with the block size and n.  The orbit count
-compares the ids of a block of generating tuples with those of their PGL
-images; the complement count ANDs the subalgebra membership masks of a
+a tuple reaches rank n^2 or a level adds nothing.  A vector is its n^2
+field entries, and each entry operation is a gather from a flat table of
+the field; the loop's memory grows with the block size and n.  The orbit
+count compares the ids of a block of generating tuples with those of their
+PGL images; the complement count ANDs the subalgebra membership masks of a
 block of tuples.
 
 The level loop indexes the tuple axis only through flat integer indices:
@@ -56,12 +53,12 @@ from .linalg import det_rows, kernel_basis, rref, subspace_intersection
 CENSUS_CAP = 2**26
 # A census uses at most one worker process per this many ambient tuples.
 # Measured on 2 cores with the transition fold, fresh processes, medians of
-# 5 alternated runs, one worker -> two: (5,2,2) 0.035 -> 0.108 s, (3,2,3)
-# 0.045 -> 0.074 s, (2,2,5) 0.047 -> 0.071 s, (7,2,2) 0.150 -> 0.190 s,
-# (4,2,3) 0.347 -> 0.232 s and (2,2,6) 0.508 -> 0.387 s.  Each worker
+# 5 alternated runs, one worker -> two: (5,2,2) 0.040 -> 0.132 s, (3,2,3)
+# 0.056 -> 0.128 s, (2,2,5) 0.052 -> 0.119 s, (7,2,2) 0.227 -> 0.227 s,
+# (4,2,3) 0.498 -> 0.338 s and (2,2,6) 0.744 -> 0.441 s.  Each worker
 # builds its own transition rows, and starting the pool costs tens of ms,
 # so two workers pay from 2^23 tuples.  (2,3,2), 2^18 tuples, is mostly
-# row builds and gains 0.258 -> 0.194 s, but runs in one process.
+# row builds and gains 0.514 -> 0.324 s, but runs in one process.
 TUPLES_PER_WORKER = 2**22
 
 
@@ -70,12 +67,9 @@ TUPLES_PER_WORKER = 2**22
 #
 # A block of m-tuples is decided at once.  Every array keeps the tuple axis
 # last, so each per-entry slice is contiguous.  Entry operations are gathers
-# from flat tables indexed by (a << shift) | b; whole-matrix operations on
-# ids (_id_tables) are gathers indexed by a N + b.
+# from flat tables indexed by (a << shift) | b.
 
 BLOCK = 4096  # m-tuples per kernel call; bounds the kernel's scratch memory
-ID_TABLE_MAX = 2**10  # most matrices q^(n^2) for the id kernel's N^2 tables
-SLAB = 2**12  # products per slab while the id tables are built
 
 
 @lru_cache(maxsize=None)
@@ -279,60 +273,6 @@ class _Transitions:
         return np.array(found, np.intp)
 
 
-@lru_cache(maxsize=None)
-def _id_tables(q: int, n: int):
-    """(N, P, S, D, coef, inv): the operations of M_n(F_q) on whole matrix
-    ids, N = q^(n^2), as int32 tables.
-
-    P[a N + b] is the id of A B, S[c N + a] that of c A, and D[a N + b]
-    that of A - B; D is None for even q, whose ids are bit-packed matrices
-    with A - B = a ^ b.  coef[j, a] is c N for the entry c of A at column
-    j, an offset into S, and inv[c] is c^-1 N.  No temporary exceeds about
-    1 MB: S and the first q^n rows of P and D are built SLAB products at a
-    time, and the other rows q^n at a time from earlier ones."""
-    import numpy as np
-
-    arrays = shift, _, sub, mul, inv = _field_arrays(q)
-    d = n * n
-    N = q ** d
-    mats = _digits(np.arange(N, dtype=np.int64), q, d, mul.dtype)  # (d, N)
-
-    def table(rows, op):
-        # op maps the (a, entries of b) of a slab to the entries of a op b,
-        # whose ids accumulate by Horner's rule
-        out = np.empty((rows, N), np.int32)
-        flat = out.reshape(-1)
-        for start in range(0, rows * N, SLAB):
-            k = np.arange(start, min(start + SLAB, rows * N))
-            acc = flat[start:start + len(k)]
-            acc[:] = 0
-            for e in op(k // N, mats[:, k % N]):
-                acc *= q
-                acc += e
-        return out
-
-    def grow(base, block):
-        # block(t, j) gives rows j w .. j w + w - 1 from row j and rows < w
-        out = np.empty((N, N), np.int32)
-        out[:w] = base
-        for j in range(1, N // w):
-            out[j * w:(j + 1) * w] = block(out, j)
-        return out.reshape(-1)
-
-    # A matrix id is w times the id of its first n - 1 rows, moved down a
-    # row, plus the id of its last row.  Row i of A B is (row i of A) B, so
-    # P[j w + l, b] = w P[j, b] + P[l, b] for l < w; D is split likewise.
-    w = q ** n
-    P = grow(table(w, lambda a, b: _products(mats[:, None, a], b[:, None], n,
-                                             arrays)[:, 0]),
-             lambda t, j: t[j] * w + t[:w])
-    S = table(q, lambda c, b: mul[(c << shift) | b]).reshape(-1)
-    D = None if q % 2 == 0 else grow(
-        table(w, lambda a, b: sub[(mats[:, a] << shift) | b]),
-        lambda t, j: (t[j, None, :N // w, None] * w + t[:w, None, :w]).reshape(w, N))
-    return N, P, S, D, mats.astype(np.int32) * N, inv.astype(np.int32) * N
-
-
 def _generates_block(comps, q: int, n: int, spans: bool = False):
     """Generation mask of a block of m-tuples of matrix ids, comps (m, B);
     with spans also the (B, n^2) int64 keys of the algebras they generate,
@@ -346,9 +286,8 @@ def _generates_block(comps, q: int, n: int, spans: bool = False):
     by the lemma in generation.closure_generates.  A tuple stops when its
     rank is n^2 or a level adds no row.
 
-    The first axis of every array is the vector: one matrix id when
-    q^(n^2) <= ID_TABLE_MAX, so that field operations on whole matrices are
-    gathers from _id_tables, and the n^2 entries above that."""
+    The first axis of every array is the vector, its n^2 entries, whose
+    field operations are gathers from _field_arrays(q)."""
     import numpy as np
 
     m, nt = comps.shape
@@ -356,21 +295,15 @@ def _generates_block(comps, q: int, n: int, spans: bool = False):
     out = np.zeros(nt, bool)
     if m == 0 or nt == 0:
         return (out, np.zeros((nt, d), np.int64)) if spans else out
-    if q ** d <= ID_TABLE_MAX:
-        tables = _id_tables(q, n)
-        gens = comps.astype(np.int32)[None]
-        insert, products, reduce = _insert_ids, _products_ids, _reduce_ids
-    else:
-        tables = _field_arrays(q)
-        gens = _digits(comps.reshape(-1), q, d, tables[3].dtype).reshape(d, m, nt)
-        insert, products, reduce = _insert, _products, _reduce
+    tables = _field_arrays(q)
+    gens = _digits(comps.reshape(-1), q, d, tables[3].dtype).reshape(d, m, nt)
     which = np.arange(nt)
-    basis = np.zeros((len(gens), d, nt), gens.dtype)  # vector, pivot column, tuple
+    basis = np.zeros((d, d, nt), gens.dtype)  # entry, pivot column, tuple
     present = np.zeros((d, nt), bool)
     final = np.zeros_like(basis) if spans else None  # each tuple's last basis
     cand = gens.copy()
     for level in itertools.count():
-        added = insert(cand, basis, present, tables)
+        added = _insert(cand, basis, present, tables)
         full = present.all(0)
         out[which] = full  # every tuple still in the block reads False so far
         keep = added.any(0) & ~full
@@ -378,7 +311,7 @@ def _generates_block(comps, q: int, n: int, spans: bool = False):
             done = np.flatnonzero(~keep)
             final[..., which.take(done)] = basis.take(done, -1)
         if not keep.any():
-            return (out, reduce(final, q, tables)) if spans else out
+            return (out, _reduce(final, q, tables)) if spans else out
         if not keep.all():
             idx = np.flatnonzero(keep)
             which, basis, present, added, gens = (
@@ -386,25 +319,13 @@ def _generates_block(comps, q: int, n: int, spans: bool = False):
                 added.take(idx, -1), gens.take(idx, -1))
         # the generators span the rows that level 0 added
         front = gens if level == 0 else _frontier(basis, added)
-        cand = products(front, gens, n, tables)
-
-
-def _reduce_ids(basis, q: int, tables):
-    """Back-substitute id-layout echelon bases (1, d, B) into reduced row
-    echelon form: (B, d) int64 keys.  An absent row is id 0, which clears
-    nothing."""
-    import numpy as np
-
-    N, _, S, D, coef, _ = tables
-    rows = basis[0]
-    for c in range(1, len(rows)):
-        scaled = S.take(coef[c].take(rows[:c]) + rows[c])
-        rows[:c] = rows[:c] ^ scaled if D is None else D.take(rows[:c] * N + scaled)
-    return rows.T.astype(np.int64)
+        cand = _products(front, gens, n, tables)
 
 
 def _reduce(basis, q: int, tables):
-    """_reduce_ids on entry-layout bases (d, d, B)."""
+    """Back-substitute echelon bases (d, d, B) into reduced row echelon
+    form: (B, d) int64 keys, each row as its matrix id.  An absent row is
+    zero, which clears nothing."""
     import numpy as np
 
     shift, _, sub, mul, _ = tables
@@ -415,44 +336,6 @@ def _reduce(basis, q: int, tables):
         basis[c:, :c] = sub.take((basis[c:, :c] << shift) | prod)
     w = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
     return np.tensordot(w, basis, (0, 0)).T
-
-
-def _insert_ids(cand, basis, present, tables):
-    """_insert on matrix ids, cand (1, K, B) and basis (1, d, B): per pivot
-    column, a gather for the coefficients, then one to scale the new rows
-    and two (one and a XOR for even q) to eliminate."""
-    import numpy as np
-
-    N, _, S, D, coef, inv = tables
-    cand, rows = cand[0], basis[0]
-    d, nt = rows.shape
-    cols = np.arange(nt)
-    # any nonzero candidate can be the new row: the last one is a maximum
-    # over the candidate axis, which numpy reduces much faster than argmax
-    index = np.arange(len(cand), dtype=np.min_scalar_type(len(cand)))[:, None]
-    added = np.zeros((d, nt), bool)
-    for c in range(d):
-        x = coef[c].take(cand)
-        nz = x != 0
-        new = nz.any(0) & ~present[c]
-        if new.any():
-            at = (nz * index).max(0).astype(np.intp) * nt + cols
-            row = S.take(inv.take(x.take(at) // N) + cand.take(at))
-            rows[c] = np.where(new, row, rows[c])
-            present[c] |= new
-            added[c] = new
-        if c + 1 < d and present[c].any():
-            # an absent row is id 0, whose multiples subtract nothing
-            scaled = S.take(x + rows[c])
-            cand = cand ^ scaled if D is None else D.take(cand * N + scaled)
-    return added
-
-
-def _products_ids(front, gens, n: int, tables):
-    """e g for every frontier id e and generator id g: (1, F m, B)."""
-    N, P = tables[:2]
-    ids = P.take(front[0, :, None] * N + gens[0, None])
-    return ids.reshape(1, -1, front.shape[-1])
 
 
 def _insert(cand, basis, present, tables):
@@ -466,7 +349,8 @@ def _insert(cand, basis, present, tables):
     shift, _, sub, mul, inv = tables
     d, k, nt = cand.shape
     cols = np.arange(nt)
-    # the last nonzero candidate, picked as in _insert_ids
+    # any nonzero candidate can be the new row: the last one is a maximum
+    # over the candidate axis, which numpy reduces much faster than argmax
     index = np.arange(k, dtype=np.min_scalar_type(k))[:, None]
     added = np.zeros((d, nt), bool)
     for c in range(d):

@@ -226,10 +226,8 @@ def test_census_522_and_232():
     assert (res.generating_count, res.gen_value) == (129024, 768)
 
 
-def test_census_722_and_822_in_the_entry_layout():
-    # 7^8 and 8^8 tuples, every one folded; the rows come from the entry
-    # layout of the level loop
-    assert 7 ** 4 > census.ID_TABLE_MAX
+def test_census_722_and_822():
+    # 7^8 and 8^8 tuples, every one folded
     for q, want in ((7, 4840416), (8, 14450688)):
         res = count_generating_bruteforce(q, 2, 2, threads=1)
         assert res.generating_count == gen_numerator_2x2(q, 2) == want
@@ -310,7 +308,6 @@ def test_fold_matches_the_level_loop_on_every_tuple(q, n, m):
 
 @pytest.mark.parametrize("q,n,m", [(5, 2, 2), (2, 3, 2), (7, 2, 2), (5, 2, 3)])
 def test_fold_matches_the_level_loop_on_seeded_blocks(q, n, m):
-    # (7, 2) builds its rows in the entry layout
     rng = random.Random(100 * q + 10 * n + m)
     tuples = _level_tuples(rng, q, n, m, 600) + [
         [_random_ids(rng, q, n, triangular=t % 4 == 0) for _ in range(m)]
@@ -337,7 +334,7 @@ def _expand(fold):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_full_expansion_counts_the_subalgebras_of_m2(q, monkeypatch):
+def test_full_expansion_counts_the_subalgebras_of_m2(q):
     fold = census._Transitions(q, 2)
     _expand(fold)
     dims = [int(np.count_nonzero(b)) for b in fold.basis]
@@ -358,19 +355,12 @@ def test_full_expansion_counts_the_subalgebras_of_m2(q, monkeypatch):
     rep = fold._classes(rows, owner, mat)
     assert (rep <= mat).all() and np.array_equal(fold._classes(rows, owner, rep), rep)
     # every step row is the reduced basis of its own closure, matrix by
-    # matrix, in both layouts: the class shortcut copies nothing wrong
-    id_layout = census.ID_TABLE_MAX
+    # matrix: the class shortcut copies nothing wrong
     for s in range(2, len(fold.prefix)):
         comps = np.array([fold.prefix[s] + (a,) for a in range(N)], np.int64).T
-        for table_max in (id_layout, 0):
-            monkeypatch.setattr(census, "ID_TABLE_MAX", table_max)
-            ok, keys = _generates_block(comps, q, 2, spans=True)
-            assert np.array_equal(np.array(fold.basis)[step[s]], keys)
-            assert np.array_equal(ok, full[s] == 1)
-    monkeypatch.setattr(census, "ID_TABLE_MAX", 0)
-    entry = census._Transitions(q, 2)
-    _expand(entry)
-    assert entry.ids.keys() == fold.ids.keys()
+        ok, keys = _generates_block(comps, q, 2, spans=True)
+        assert np.array_equal(np.array(fold.basis)[step[s]], keys)
+        assert np.array_equal(ok, full[s] == 1)
 
 
 def test_fold_matches_the_level_loop_on_random_blocks_past_n_states():
@@ -433,9 +423,27 @@ def test_one_component_censuses_build_row_0_only(q, n):
     assert peak - current <= 2**22
 
 
+def test_cold_pair_census_builds_rows_in_bounded_scratch():
+    # every (2, 3) state a pair meets gets its step row built, BLOCK pairs
+    # per run of the level loop; what is left is the transition table
+    import tracemalloc
+
+    census._field_arrays(2)
+    census._transitions.cache_clear()
+    tracemalloc.start()
+    try:
+        res = count_generating_bruteforce(2, 3, 2, threads=1)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.generating_count == 129024
+    assert len(census._transitions(2, 3).prefix) > 2
+    assert peak - current < 2**22
+
+
 def test_cold_small_censuses_are_fast():
     # a fresh process, numpy imported before the clock: the first call
-    # builds the id tables and the transition rows it meets
+    # builds the transition rows it meets
     env = dict(os.environ, PYTHONPATH=str(Path(census.__file__).parents[1]))
     code = ("import sys, time, numpy; from matgen import census; "
             "t = time.perf_counter(); "
@@ -459,10 +467,9 @@ def _frontier_by_sort(basis, added):
     return np.where(np.take_along_axis(added, order, axis=0), rows, 0)
 
 
-@pytest.mark.parametrize("v,d,dtype", [(1, 4, np.int32), (1, 9, np.int32),
-                                       (4, 4, np.uint8), (9, 9, np.uint8)])
+@pytest.mark.parametrize("v,d,dtype", [(4, 4, np.uint8), (9, 9, np.uint8)])
 def test_frontier_matches_the_sorted_gather(v, d, dtype):
-    # v = 1: a row is one matrix id; v = d: its d entries
+    # a row is its v = d entries
     rng = np.random.default_rng(100 * v + d)
     for nt in (1, 2, 7, 300):
         basis = rng.integers(1, 250, (v, d, nt)).astype(dtype)
@@ -503,19 +510,17 @@ def _level_tuples(rng, q, n, m, count):
 
 @pytest.mark.parametrize("q,n,m", [(3, 2, 2), (4, 2, 3), (7, 2, 2), (3, 3, 2)])
 def test_kernel_drops_finished_tuples_at_each_level(q, n, m, monkeypatch):
-    # (3,2) and (4,2) run the id layout, (7,2) and (3,3) the entry layout
     F = field_of_order(q)
     tuples = _level_tuples(random.Random(31 * q + n), q, n, m, 120)
     comps = np.array(tuples, np.int64).T
-    id_layout = q ** (n * n) <= census.ID_TABLE_MAX
-    insert = census._insert_ids if id_layout else census._insert
+    insert = census._insert
     live = []  # tuples entering each level
 
     def spy(cand, basis, present, tables):
         live.append(cand.shape[-1])
         return insert(cand, basis, present, tables)
 
-    monkeypatch.setattr(census, insert.__name__, spy)
+    monkeypatch.setattr(census, "_insert", spy)
     got = _generates_block(comps, q, n)
     # tuples finish at levels 0 and 1, so the block shrinks after each; a
     # 2x2 tuple never reaches level 3, so every tuple left at level 2
@@ -525,9 +530,6 @@ def test_kernel_drops_finished_tuples_at_each_level(q, n, m, monkeypatch):
     assert all(a > b for a, b in zip(live, live[1:4])), live
     assert [bool(v) for v in got] == [_closure_verdict(t, q, n, F) for t in tuples]
     assert got.any() and not got.all()
-
-
-ID_SIZES = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3)]  # q^(n^2) <= ID_TABLE_MAX
 
 
 def _field_tables(q):
@@ -547,42 +549,9 @@ def _all_mats(q, n):
     return list(itertools.product(range(q), repeat=n * n))
 
 
-def _entry_table(op, left, right, q):
-    """op (a nested table of _field_tables) applied entrywise to every pair
-    of rows of left (A, d) and right (B, d): ids, (A, B)."""
-    t = np.array(op)
-    w = q ** np.arange(left.shape[1] - 1, -1, -1)
-    return t[left[:, None], right[None]] @ w
-
-
-@pytest.mark.parametrize("q,n", ID_SIZES)
-def test_id_tables_match_entry_arithmetic(q, n):
-    assert q ** (n * n) <= census.ID_TABLE_MAX
-    N, P, S, D, coef, inv = census._id_tables(q, n)
-    add, sub, mul, inv_t = _field_tables(q)
-    mats = np.array(_all_mats(q, n))  # (N, d), row-major entries
-    assert N == len(mats)
-    add_a, mul_a = np.array(add), np.array(mul)
-    prod = np.zeros((N, N, n * n), np.int64)
-    for i, j, k in itertools.product(range(n), repeat=3):
-        term = mul_a[mats[:, None, i * n + k], mats[None, :, k * n + j]]
-        prod[..., i * n + j] = add_a[prod[..., i * n + j], term]
-    assert np.array_equal(P.reshape(N, N), prod @ q ** np.arange(n * n - 1, -1, -1))
-    scalars = np.arange(q)[:, None].repeat(n * n, 1)
-    assert np.array_equal(S.reshape(q, N), _entry_table(mul, scalars, mats, q))
-    diff = _entry_table(sub, mats, mats, q)
-    if q % 2:
-        assert np.array_equal(D.reshape(N, N), diff)
-    else:
-        assert D is None
-        assert np.array_equal(np.arange(N)[:, None] ^ np.arange(N), diff)
-    assert np.array_equal(coef, mats.T * N)
-    assert [inv[c] for c in range(1, q)] == [inv_t[c] * N for c in range(1, q)]
-
-
 def test_field_arrays_match_the_field():
-    # every pair up to q = 64, 2000 seeded pairs above; the entry kernel
-    # reads these tables at every size above ID_TABLE_MAX
+    # every pair up to q = 64, 2000 seeded pairs above; the level loop
+    # reads these tables at every size
     rng = random.Random(11)
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81, 121, 125, 169, 251):
         F = field_of_order(q)
@@ -595,47 +564,6 @@ def test_field_arrays_match_the_field():
                 (F.add(a, b), F.sub(a, b), F.mul(a, b)), (q, a, b)
         assert inv[0] == 0
         assert [int(x) for x in inv[1:q]] == [F.inv(a) for a in range(1, q)]
-
-
-@pytest.mark.parametrize("q,n", ID_SIZES)
-def test_id_and_entry_kernels_agree(q, n, monkeypatch):
-    rng = random.Random(7000 + 10 * q + n)
-    blocks = []
-    for m in range(4):
-        tuples = [[_random_ids(rng, q, n, triangular=t % 3 == 0)
-                   for _ in range(m)] for t in range(200)]
-        blocks.append(np.array(tuples, np.int64).reshape(len(tuples), m).T)
-    by_ids = [_generates_block(comps, q, n) for comps in blocks]
-    monkeypatch.setattr(census, "ID_TABLE_MAX", 0)
-    by_entries = [_generates_block(comps, q, n) for comps in blocks]
-    for ids, entries in zip(by_ids, by_entries):
-        assert np.array_equal(ids, entries)
-    assert by_ids[2].any() and not by_ids[2].all()
-
-
-@pytest.mark.parametrize("q,n", ID_SIZES)
-def test_id_tables_build_in_bounded_scratch(q, n):
-    import tracemalloc
-
-    census._field_arrays(q)
-    census._id_tables.cache_clear()
-    tracemalloc.start()
-    try:
-        census._id_tables(q, n)
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - current <= 2**20
-
-
-def test_no_id_tables_above_the_cap(monkeypatch):
-    def refuse(q, n):
-        raise AssertionError(f"id tables built for q^(n^2) = {q ** (n * n)}")
-
-    monkeypatch.setattr(census, "_id_tables", refuse)
-    comps = np.array([[1, 7 ** 4 - 1], [2400, 5]], np.int64)
-    assert 7 ** 4 > census.ID_TABLE_MAX
-    assert len(_generates_block(comps, 7, 2)) == 2
 
 
 def test_resolve_threads(monkeypatch):
