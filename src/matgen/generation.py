@@ -17,13 +17,13 @@ from .domains import QQ, ZZ, DomainError, InvariantError, quadratic_extension
 from .linalg import (
     ALL_LINES,
     Echelon,
+    IntLattice,
     Mat,
     check_entries,
     commutator,
     det,
     identity,
     is_scalar_mat,
-    lattice_from_rows,
     line_is_invariant,
     mmul,
     quadratic_eigvecs,
@@ -517,10 +517,9 @@ def lattice_generates_MnZ(S: Sequence[Mat], n: int):
     """Does S generate M_n(Z) as a ring?  (identity adjoined throughout)
 
     The ring is the Z-span of the words in S, grown by the spin-up of
-    closure_generates, whose lemma holds for Z-spans: the lattice, kept as
-    its canonical HNF, takes a vector exactly when it does not contain it
-    (IntLattice.contains, a division at each pivot), and only then is the
-    HNF of the basis and the vector computed.  No dimension
+    closure_generates, whose lemma holds for Z-spans: each vector is
+    inserted once into the lattice's echelon basis (IntLattice.insert), which
+    returns None when the lattice holds it already.  No dimension
     stops it, as a lattice of full rank can have index > 1; it ends because
     every vector taken enlarges the lattice and Z^{n^2} is Noetherian.
     Generation means the closure is the full lattice Z^{n^2}.
@@ -531,15 +530,8 @@ def lattice_generates_MnZ(S: Sequence[Mat], n: int):
             raise DomainError("size mismatch")
         if a.domain.kind != "integers":
             raise DomainError("lattice test requires integer matrices")
-    lattice = lattice_from_rows((), n * n)
-
-    def insert(v):
-        nonlocal lattice
-        if lattice.contains(v):
-            return None
-        lattice = lattice_from_rows(lattice.basis + (tuple(v),), n * n)
-        return v
-
+    lattice = IntLattice(n * n)
     _spin_up(vectorize(identity(ZZ, n)), map(vectorize, S),
-             [[(n, tuple(zip(*a.rows)))] for a in S], insert, _int_times, None)
+             [[(n, tuple(zip(*a.rows)))] for a in S], lattice.insert,
+             _int_times, None)
     return lattice.is_full, lattice

@@ -2,9 +2,9 @@
 
 Echelon forms and kernels over fields, determinants over any commutative
 domain and characteristic polynomials over fields from one division-free
-recursion, the Hermite normal form over Z (with the lattices, kernels and
-Smith divisors built on it), and eigenlines of 2x2 matrices over the
-quadratic extension.
+recursion, integer lattices grown by an incremental Hermite basis (with the
+HNF, saturated kernels and Smith divisors read off it), and eigenlines of
+2x2 matrices over the quadratic extension.
 Vectorization is row-major everywhere.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -386,107 +386,105 @@ def line_is_invariant(v, a: Mat, E, embed) -> bool:
 # integer lattices: Hermite and Smith normal forms
 
 
-@dataclass(frozen=True)
 class IntLattice:
-    """Row lattice in Z^ambient, basis in canonical HNF (no zero rows)."""
+    """Row lattice in Z^ambient_dim grown by insert, the integer
+    counterpart of Echelon.
 
-    ambient_dim: int
-    basis: tuple
+    rows lists (pivot, row) in pivot order: the row is zero before its
+    pivot and positive at it, and nothing is reduced above the pivots.
+    basis back-reduces once per call to the canonical HNF, which a lattice
+    has only one of (Cohen, GTM 138, section 2.4), so the order of the
+    inserts does not show in it.
+    """
+
+    def __init__(self, ambient_dim: int, rows=()):
+        self.ambient_dim = ambient_dim
+        self.rows = []
+        for row in rows:
+            self.insert(row)
+
+    def insert(self, vec):
+        """Add vec to the lattice; return vec if the lattice grew, else None.
+
+        One pass over the rows: at each pivot, exact division clears vec
+        when it can.  Otherwise the row and vec become the unimodular pair of
+        the gcd g of their pivot entries: s row + t vec, whose pivot is g,
+        and a remainder that is zero there.  A nonzero entry of vec before
+        the next pivot, or after the last, makes the rest of vec a new row.
+        """
+        v = list(vec)
+        rows = self.rows
+        grew = False
+        start = 0
+        for k, (piv, row) in enumerate(rows):
+            if any(v[start:piv]):
+                break
+            b = v[piv]
+            if b:
+                a = row[piv]
+                q, r = divmod(b, a)
+                if r:  # a does not divide b, so a // g >= 2
+                    g = gcd(a, b)
+                    t = pow(b // g, -1, a // g)
+                    s = (g - t * b) // a
+                    a, b = a // g, b // g
+                    rows[k] = (piv, row[:piv] + [s * x + t * y for x, y in
+                                                 zip(row[piv:], v[piv:])])
+                    v[piv:] = [b * x - a * y for x, y in zip(row[piv:], v[piv:])]
+                    grew = True
+                else:
+                    v[piv:] = [y - q * x for x, y in zip(row[piv:], v[piv:])]
+            start = piv + 1
+        else:
+            k = len(rows)
+            if not any(v[start:]):
+                return vec if grew else None
+        piv = next(j for j in range(start, len(v)) if v[j])
+        if v[piv] < 0:
+            v = [-x for x in v]
+        rows.insert(k, (piv, v))
+        return vec
+
+    @property
+    def basis(self) -> tuple:
+        """The canonical HNF: pivot by pivot, every row above is reduced
+        into [0, pivot) in the pivot's column."""
+        H = [list(row) for _, row in self.rows]
+        for k, (piv, _) in enumerate(self.rows):
+            a = H[k][piv]
+            for i in range(k):
+                q = H[i][piv] // a
+                if q:
+                    H[i][piv:] = [x - q * y for x, y in zip(H[i][piv:], H[k][piv:])]
+        return tuple(map(tuple, H))
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def is_full(self) -> bool:
-        if self.rank != self.ambient_dim:
-            return False
-        return all(row[i] == 1 and all(x == 0 for j, x in enumerate(row) if j != i)
-                   for i, row in enumerate(self.basis))
-
-    def contains(self, v) -> bool:
-        """Is the integer vector v in the lattice?  The basis is in echelon
-        form with positive pivots, so v is a member exactly when, row by
-        row, v is zero before the row's pivot and exact division at the
-        pivot clears it; what is left after the last row must be zero."""
-        v = list(v)
-        start = 0
-        for row in self.basis:
-            piv = start
-            while not row[piv]:
-                piv += 1
-            if any(v[start:piv]):
-                return False
-            q, rem = divmod(v[piv], row[piv])
-            if rem:
-                return False
-            if q:
-                v[piv:] = [x - q * y for x, y in zip(v[piv:], row[piv:])]
-            start = piv + 1
-        return not any(v[start:])
+        """Is the lattice Z^ambient_dim?  Rank d and every pivot 1."""
+        return (self.rank == self.ambient_dim
+                and all(row[piv] == 1 for piv, row in self.rows))
 
     def index_in_full(self):
         """Lattice index [Z^d : L] (product of pivots), or None if not full rank."""
         if self.rank != self.ambient_dim:
             return None
-        prod = 1
-        for i, row in enumerate(self.basis):
-            prod *= row[i] if i < len(row) else 0
-        return prod
+        return prod(row[piv] for piv, row in self.rows)
 
 
 def hnf(rows):
     """Row-style Hermite normal form H of the integer matrix `rows`, the
-    canonical basis of its row lattice: the input row count (zero rows at
-    the bottom), pivots positive, entries above each pivot reduced into
-    [0, pivot).  Every integer routine below is built on it."""
-    m = len(rows)
-    if m == 0:
+    canonical basis of its row lattice: IntLattice's basis, padded with
+    zero rows at the bottom to the input row count.  The Smith divisors
+    and the saturated integer kernel below are built on it."""
+    if not rows:
         return []
     ncols = len(rows[0])
-    H = [list(r) for r in rows]
-    r = 0
-    for c in range(ncols):
-        while True:
-            # the first row of least nonzero |entry| in column c is the pivot
-            piv, least = r, 0
-            for i in range(r, m):
-                x = H[i][c]
-                if x and (not least or abs(x) < least):
-                    piv, least = i, abs(x)
-            if not least:
-                break
-            top = H[piv]
-            if piv != r:
-                H[r], H[piv] = top, H[r]
-            a = top[c]
-            done = True
-            for i in range(r + 1, m):
-                x = H[i][c]
-                if x:
-                    q = x // a
-                    row = [y - q * t for y, t in zip(H[i], top)]
-                    H[i] = row
-                    if row[c]:
-                        done = False
-            if done:
-                break
-        if least:
-            if a < 0:
-                top = H[r] = [-x for x in top]
-                a = -a
-            for i in range(r):
-                q = H[i][c] // a
-                if q:
-                    H[i] = [x - q * y for x, y in zip(H[i], top)]
-            r += 1
-            if r == m:
-                break
-    return [tuple(x) for x in H]
-
-
-def lattice_from_rows(rows, ambient_dim: int) -> IntLattice:
-    return IntLattice(ambient_dim, tuple(row for row in hnf(rows) if any(row)))
+    H = list(IntLattice(ncols, rows).basis)
+    return H + [(0,) * ncols] * (len(rows) - len(H))
 
 
 def snf(rows) -> tuple:

@@ -45,10 +45,10 @@ from .generation import (
     mat_tuple,
 )
 from .linalg import (
+    IntLattice,
     _berkowitz,
     commutator,
     det,
-    lattice_from_rows,
     madd,
     mmul,
     reduce_mod,
@@ -178,7 +178,7 @@ def z_generates(generators: Sequence) -> bool:
         return False
     invariants = _paired_invariants(copies, [True] * len(copies))
     return all(_unit_divisors(invariants[i], invariants[j])
-               or lattice_from_rows(_stacked_rows(a, b, ZZ), a.n * a.n).is_full
+               or IntLattice(a.n * a.n, _stacked_rows(a, b, ZZ)).is_full
                for (i, a), (j, b) in itertools.combinations(enumerate(copies), 2)
                if a.n == b.n)
 

@@ -32,11 +32,11 @@ from matgen.generation import (
 from matgen.linalg import (
     ALL_LINES,
     Echelon,
+    IntLattice,
     Mat,
     commutator,
     det,
     identity,
-    lattice_from_rows,
     madd,
     mat,
     mmul,
@@ -521,12 +521,12 @@ def squaring_lattice_closure(S, n):
     """Reference lattice closure: each round adds S, I_n and every product
     of two basis elements, until the HNF basis is unchanged."""
     base = [vectorize(a) for a in S] + [vectorize(identity(ZZ, n))]
-    lattice = lattice_from_rows(base, n * n)
+    lattice = IntLattice(n * n, base)
     while True:
         mats = [unvectorize(ZZ, n, row) for row in lattice.basis]
         rows = base + list(lattice.basis)
         rows += [vectorize(mmul(x, y)) for x in mats for y in mats]
-        new_lattice = lattice_from_rows(rows, n * n)
+        new_lattice = IntLattice(n * n, rows)
         if new_lattice.basis == lattice.basis:
             return lattice
         lattice = new_lattice

@@ -19,6 +19,7 @@ from matgen.domains import (
 )
 from matgen.linalg import (
     ALL_LINES,
+    IntLattice,
     Mat,
     char_poly,
     det,
@@ -28,7 +29,6 @@ from matgen.linalg import (
     integer_kernel_saturated,
     is_zero_mat,
     kernel_basis,
-    lattice_from_rows,
     line_is_invariant,
     madd,
     mat,
@@ -304,11 +304,11 @@ def test_det_and_char_poly_stay_fast():
 def test_hnf_examples():
     H = hnf([(1, 0), (0, 1)])
     assert H == [(1, 0), (0, 1)]
-    lat = lattice_from_rows([(2, 0), (0, 2)], 2)
+    lat = IntLattice(2, [(2, 0), (0, 2)])
     assert lat.basis == ((2, 0), (0, 2)) and lat.index_in_full() == 4
     H = hnf([(2, 1), (0, 3)])
     assert H == [(2, 1), (0, 3)]
-    assert lattice_from_rows([(2, 1), (0, 3)], 2).index_in_full() == 6
+    assert IntLattice(2, [(2, 1), (0, 3)]).index_in_full() == 6
 
 
 def _det_int(rows):
@@ -378,7 +378,7 @@ def test_integer_kernel_is_independent_of_row_order():
         kernel = integer_kernel_saturated(rows, ncols)
         assert all(sum(a * x for a, x in zip(row, v)) == 0
                    for row in rows for v in kernel)
-        assert lattice_from_rows(kernel, ncols).basis == tuple(kernel)
+        assert IntLattice(ncols, kernel).basis == tuple(kernel)
         shuffled = rows[:]
         rng.shuffle(shuffled)
         assert integer_kernel_saturated(shuffled, ncols) == kernel
@@ -514,16 +514,64 @@ def test_lattice_membership_matches_the_hnf_of_the_enlarged_basis():
     rng = random.Random(21)
     for case in range(400):
         m, n = rng.randint(0, 5), rng.randint(1, 6)
-        lattice = lattice_from_rows(
-            [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)], n)
-        if case % 2 and lattice.basis:  # an integer combination of the basis
-            v = [sum(rng.randint(-3, 3) * row[j] for row in lattice.basis)
+        lattice = IntLattice(
+            n, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)])
+        basis = lattice.basis
+        if case % 2 and basis:  # an integer combination of the basis
+            v = [sum(rng.randint(-3, 3) * row[j] for row in basis)
                  for j in range(n)]
         else:
             v = [rng.randint(-4, 4) for _ in range(n)]
-        enlarged = lattice_from_rows(lattice.basis + (tuple(v),), n)
-        assert lattice.contains(v) == (enlarged.basis == lattice.basis), \
-            (lattice, v)
+        enlarged = tuple(row for row in _hnf_reference(basis + (tuple(v),))
+                         if any(row))
+        assert (lattice.insert(v) is None) == (enlarged == basis), (basis, v)
+        assert lattice.basis == enlarged, (basis, v)
+
+
+def _seeded_row_sets(seed, count):
+    """Row sets of the kinds test_hnf_matches_the_min_pivot_reference draws,
+    with zero rows, rank-deficient products and entries near 2^70."""
+    rng = random.Random(seed)
+    for case in range(count):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        if case % 3 == 1:  # rank-deficient: a product through rank r
+            r = rng.randint(0, min(m, n))
+            B = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(m)]
+            C = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(r)]
+            rows = [[sum(B[i][k] * C[k][j] for k in range(r)) for j in range(n)]
+                    for i in range(m)]
+        else:
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if case % 3 == 2:  # some entries near 2^70
+            for _ in range(rng.randint(1, m * n)):
+                rows[rng.randrange(m)][rng.randrange(n)] = \
+                    rng.choice((-1, 1)) * (2**70 + rng.randint(-9, 9))
+        if case % 2:  # zero rows
+            for i in rng.sample(range(m), rng.randint(1, m)):
+                rows[i] = [0] * n
+        yield rng, n, rows
+
+
+def test_lattice_inserts_keep_the_echelon_invariants():
+    for rng, n, rows in _seeded_row_sets(22, 300):
+        want = tuple(row for row in _hnf_reference(rows) if any(row))
+        bases = []
+        for _ in range(2):
+            order = rows[:]
+            rng.shuffle(order)
+            lattice = IntLattice(n)
+            for row in order:
+                lattice.insert(row)
+                pivots = [piv for piv, _ in lattice.rows]
+                assert pivots == sorted(set(pivots)), (rows, pivots)
+                assert all(len(r) == n and r[piv] > 0 and not any(r[:piv])
+                           for piv, r in lattice.rows), rows
+            assert lattice.basis == want, rows
+            pivots = [next(x for x in row if x) for row in want]
+            full = lattice.rank == n
+            assert lattice.index_in_full() == (prod(pivots) if full else None)
+            bases.append(lattice.basis)
+        assert bases[0] == bases[1], rows
 
 # --- eigenlines over the quadratic extension --------------------------------
 

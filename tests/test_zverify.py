@@ -18,8 +18,8 @@ from matgen.generation import (
     mat_tuple,
 )
 from matgen.linalg import (
+    IntLattice,
     identity,
-    lattice_from_rows,
     madd,
     mat,
     mmul,
@@ -294,7 +294,7 @@ def test_lattice_fullness_equals_unit_divisors_on_seeded_systems(n, count):
             a, b = ([_int_mat(rng, n) for _ in range(i % 3 + 1)]
                     for _ in range(2))
         rows = _stacked_rows(mat_tuple(list(a)), mat_tuple(list(b)), ZZ)
-        full = lattice_from_rows(rows, n * n).is_full
+        full = IntLattice(n * n, rows).is_full
         assert full == (snf(rows) == (1,) * (n * n))
         readings.append(full)
     assert 0 < readings.count(True) < count
@@ -351,7 +351,7 @@ def test_prefilter_agrees_with_the_certificate_and_the_system():
     for generators in _pair_families():
         a, b = (mat_tuple(copy) for copy in zip(*generators))
         assert all(lattice_generates_MnZ(c.mats, c.n)[0] for c in (a, b))
-        full = lattice_from_rows(_stacked_rows(a, b, ZZ), a.n * a.n).is_full
+        full = IntLattice(a.n * a.n, _stacked_rows(a, b, ZZ)).is_full
         assert z_generates(generators) == full
         if _unit_divisors(_schur_invariants(a), _schur_invariants(b)):
             taken += 1
@@ -375,7 +375,7 @@ def test_prefilter_needs_the_lattice_precondition():
     assert _unit_divisors(_schur_invariants(a), _schur_invariants(b))
     cert = nonconjugate_all_primes(a, b)
     assert cert.rational_kernel_dim == 1
-    assert not lattice_from_rows(_stacked_rows(a, b, ZZ), 4).is_full
+    assert not IntLattice(4, _stacked_rows(a, b, ZZ)).is_full
     generators = [(e11, e11), (zero, e22)]
     [(_, _, got)] = verify_z_tuples(generators).pairwise
     assert got.to_json() == cert.to_json() != _UNIT_DIVISORS_CERT.to_json()
@@ -383,7 +383,7 @@ def test_prefilter_needs_the_lattice_precondition():
 
 
 def test_table16_pairs_take_the_prefilter(monkeypatch):
-    calls = {"nonconjugate_all_primes": 0, "lattice_from_rows": 0}
+    calls = {"nonconjugate_all_primes": 0, "IntLattice": 0}
 
     def counting(name):
         original = getattr(zverify, name)
@@ -399,4 +399,4 @@ def test_table16_pairs_take_the_prefilter(monkeypatch):
     fam = table16()
     verdict = verify_z_tuples(fam.generators)
     assert len(verdict.pairwise) == 120 and verdict.overall
-    assert calls == {"nonconjugate_all_primes": 0, "lattice_from_rows": 0}
+    assert calls == {"nonconjugate_all_primes": 0, "IntLattice": 0}
