@@ -270,7 +270,7 @@ class _Domain:
     def row_ops(self):
         """(sub_mul, scale, inv) for rows over this field, where
         sub_mul(v, c, row) is v - c row and scale(c, row) is c row.
-        linalg.Echelon and the F_{p^k} span closure
+        linalg.Echelon and the span closure over odd F_{p^k}
         (generation._spin_up_fq) fetch them once per basis or closure."""
         sub, mul = self.sub, self.mul
 

@@ -1,15 +1,19 @@
 """Generation tests for direct sums of matrix algebras.
 
-Span closure over fields, the tuple criterion (cross-sections generate and
-are pairwise non-conjugate), the common-eigenline test for n = 2, the
-det-commutator criterion, and the integer lattice-closure test for M_n(Z).
+Span closure over fields (XOR bit vectors in characteristic 2, packed or
+flat rows in odd characteristic, integer rows over Q), the tuple criterion
+(cross-sections generate and are pairwise non-conjugate), the n = 2
+common-eigenline test, the det-commutator criterion, and the integer
+lattice-closure test for M_n(Z).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, compress
 from math import gcd, lcm
-from operator import mul
+from operator import mul, xor
 from typing import Sequence
 
 from . import conjugacy
@@ -228,6 +232,89 @@ def _spin_up_fp(S, sizes, field, include_identity: bool) -> int:
                     insert, times, d)
 
 
+def _spin_up_f2k(S, sizes, field, include_identity: bool) -> int:
+    """Dimension of the span closure over F_{2^k}, F_2 being k = 1, by a
+    spin-up on XOR bit vectors (the packed rows of M4RI).
+
+    An element int is the k-bit mask of its coefficients, so a vector is
+    one int whose k-bit slot j, at bit j k, holds coordinate j, and adding
+    vectors is XOR: exact, with no modulus and no slot bound.  Times t
+    shifts every slot up one bit and folds the bit that leaves each slot
+    back in through t^k = sum f_j t^j, the modulus's low coefficients.  The
+    basis is semi-echelon: (pivot shift, its slot mask, multiples), with
+    multiples[c] = c u for the row u normalised to 1 at its pivot.  One
+    pass in insertion order clears every pivot of a vector, so a new row's
+    pivot is the slot of its lowest set bit.  A generator g is prepared as
+    the d k packed rows t^b E_j g at index j k + b, and a product u g is
+    the XOR of the rows at the set bits of u.
+    """
+    k = field.size.bit_length() - 1
+    d = sum(n * n for n in sizes)
+    emask = (1 << k) - 1
+    top = ((1 << d * k) - 1) // emask << k - 1  # the top bit of every slot
+    fold = field.mul(1 << k - 1, 2)  # t^k as an element; 0 over F_2
+    basis = []
+    zero_one = bytes.maketrans(b"01", b"\0\1")
+
+    def bits_of(x):  # the bits of x, lowest first, as bytes 0 and 1
+        return bin(x)[:1:-1].encode().translate(zero_one)
+
+    def powers(v):  # [v, t v, ..., t^(k-1) v]
+        out = [v]
+        for _ in range(k - 1):
+            hi = v & top
+            v = ((v ^ hi) << 1) ^ (hi >> k - 1) * fold
+            out.append(v)
+        return out
+
+    def insert(v):
+        """Reduce v; if it is independent, add its row u and return u."""
+        for s, slot, mult in basis:
+            if v & slot:
+                v ^= mult[v >> s & emask]
+        if not v:
+            return None
+        s = ((v & -v).bit_length() - 1) // k * k
+        inv = field.inv(v >> s & emask)
+        if inv != 1:  # inv v, the XOR of the t^b v at the set bits b of inv
+            v = reduce(xor, compress(powers(v), bits_of(inv)))
+        mult = [0]  # mult[c] = c v, built from the bits of c
+        for tv in powers(v):
+            mult += [x ^ tv for x in mult]
+        basis.append((s, emask << s, mult))
+        return v
+
+    def pack(elem):
+        v = 0
+        for x in reversed(_element_vector(elem)):
+            v = v << k | x
+        return v
+
+    def right_rows(g):
+        """The rows t^b E_j g of the packed generator g."""
+        rows, offset, scaled = [], 0, powers(g)
+        for n in sizes:
+            # t^b E_{ic} g has row i equal to row c of t^b g
+            rmask = (1 << n * k) - 1
+            starts = range(offset * k, (offset + n * n) * k, n * k)
+            block = [tg >> s & rmask for s in starts for tg in scaled]
+            for s in starts:
+                rows += [r << s for r in block]
+            offset += n * n
+        return rows
+
+    def times(u, rows):
+        return reduce(xor, compress(rows, bits_of(u)), 0)
+
+    offsets = accumulate((n * n for n in sizes), initial=0)
+    identity_vec = (sum(1 << (o + i * (n + 1)) * k
+                        for o, n in zip(offsets, sizes) for i in range(n))
+                    if include_identity else None)
+    packed = list(map(pack, S))
+    return _spin_up(identity_vec, packed, list(map(right_rows, packed)),
+                    insert, times, d)
+
+
 def _int_times(u, blocks):
     """The integer vector u times a generator prepared as per-copy
     (n, columns) blocks: each block row of u times its copy's columns."""
@@ -352,16 +439,17 @@ def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
     complete the previous level.  Only spans enter the argument, so it holds
     for Z-spans as well (lattice_generates_MnZ).
 
-    The field's kind selects the path.  Over F_p the closure is a spin-up on
-    packed integer vectors (_spin_up_fp).  Over Q it is a spin-up on integer
-    rows (_spin_up_q): each element is multiplied by the lcm of the
-    denominators of all its copies, one nonzero scalar per element, and the
-    identity is left as it is.  A word in the scaled elements is a nonzero
-    multiple of the same word in S, so the Q-span of the words, and with it
-    the dimension, is unchanged.  Every row is then an exact integer
-    vector, with no modulus and no bound on its entries.  Over F_{p^k} it is
-    a spin-up on flat lists of element ints (_spin_up_fq).  Over a finite
-    field an entry that is not an int in [0, q) raises DomainError.
+    The field selects the path.  In characteristic 2 the closure is a
+    spin-up on XOR bit vectors (_spin_up_f2k), over odd F_p on packed
+    integer vectors (_spin_up_fp) and over odd F_{p^k} on flat lists of
+    element ints (_spin_up_fq).  Over Q it is a spin-up on integer rows
+    (_spin_up_q): each element is multiplied by the lcm of the denominators
+    of all its copies, one nonzero scalar per element, and the identity is
+    left as it is.  A word in the scaled elements is a nonzero multiple of
+    the same word in S, so the Q-span of the words, and with it the
+    dimension, is unchanged.  Every row is then an exact integer vector,
+    with no modulus and no bound on its entries.  Over a finite field an
+    entry that is not an int in [0, q) raises DomainError.
     """
     S = [tuple(elem) for elem in S]
     if field is None:
@@ -372,7 +460,9 @@ def closure_generates(S, shape: DirectSumShape, include_identity: bool = True,
         raise DomainError("closure_generates requires a field domain")
     _validate_elements(S, shape, field)
     ambient = shape.total_dim
-    if field.kind == "prime_field":
+    if field.char == 2:
+        dim = _spin_up_f2k(S, shape.copy_sizes, field, include_identity)
+    elif field.kind == "prime_field":
         dim = _spin_up_fp(S, shape.copy_sizes, field, include_identity)
     elif field.kind == "rationals":
         dim = _spin_up_q(S, shape.copy_sizes, include_identity)

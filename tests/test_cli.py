@@ -244,21 +244,25 @@ def test_check_failed_invariant_exits_three(tmp_path, monkeypatch, capsys):
     assert err.startswith("internal error: ") and "disagrees" in err
 
 
-@pytest.mark.parametrize("q", [4, 9])
-def test_check_failed_invariant_exits_three_over_fq(q, tmp_path, monkeypatch,
-                                                     capsys):
-    # the F_{p^k} twin: the flat-row closure loses one dimension of the
-    # two-copy span, and the criterion disagrees with it
+@pytest.mark.parametrize("q, kernel", [(2, "_spin_up_f2k"),
+                                       (4, "_spin_up_f2k"),
+                                       (9, "_spin_up_fq")],
+                         ids=["2", "4", "9"])
+def test_check_failed_invariant_exits_three_over_fq(q, kernel, tmp_path,
+                                                     monkeypatch, capsys):
+    # the twin over F_2, F_4 and F_9: the field's closure kernel (XOR bit
+    # vectors in characteristic 2, flat rows over F_9) loses one dimension
+    # of the two-copy span, and the criterion disagrees with it
     from matgen import generation
 
     fam = gap_plus_one(standard_xy_family(2, field_of_order(q)))
-    spin_up = generation._spin_up_fq
+    spin_up = getattr(generation, kernel)
 
     def wrong(S, sizes, field, include_identity):
         dim = spin_up(S, sizes, field, include_identity)
         return dim - 1 if len(sizes) == 2 else dim
 
-    monkeypatch.setattr(generation, "_spin_up_fq", wrong)
+    monkeypatch.setattr(generation, kernel, wrong)
     path = tmp_path / "gap.json"
     path.write_text(dumps(fam), encoding="utf-8")
     assert main(["check", "--input", str(path)]) == 3

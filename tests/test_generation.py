@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matgen import generation
 from matgen.domains import (
     QQ,
     TABLE_MAX,
@@ -227,7 +228,8 @@ def test_packed_fp_closure_matches_echelon_reference(data):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_packed_fq_closure_matches_echelon_reference(data):
-    # the flat rows index the ExtField tables up to F_49 and call the
+    # F_4, F_8 and F_16 close on XOR bit vectors; at odd characteristic
+    # the flat rows index the ExtField tables from F_9 to F_49 and call the
     # field's methods at F_81 and F_125, where the Mat reference is slow
     # enough to cap the dimension; F_32 and F_64 need degrees above
     # build_ext_field's cap of 4
@@ -238,6 +240,80 @@ def test_packed_fq_closure_matches_echelon_reference(data):
     rep = closure_generates(S, shape, include_identity, field)
     want = echelon_closure(S, shape, include_identity, field)
     assert (rep.verdict, rep.closure_dim) == want
+
+
+def _large_char2_case(field, rng, min_dim):
+    """(S, sizes): at least min_dim dimensions in blocks of sizes 2, 3 and
+    4, one to three elements.  So that the closure falls short, some copies
+    are upper triangular in every element, and some repeat an earlier copy
+    of their size in every element, as it is or conjugated by one fixed
+    P = I + r E_{1n}, its own inverse in characteristic 2."""
+    q, sizes = field.size, []
+    while sum(n * n for n in sizes) < min_dim:
+        sizes.append(rng.choice([2, 3, 4]))
+    repeats, triangular = {}, set()
+    for j, n in enumerate(sizes):
+        earlier = [i for i in range(j) if sizes[i] == n and i not in repeats]
+        if earlier and rng.random() < 0.25:
+            P = madd(identity(field, n),
+                     smul(rng.randrange(q), unit_mat(field, n, 0, n - 1)))
+            repeats[j] = (rng.choice(earlier), P)
+        elif rng.random() < 0.15:
+            triangular.add(j)
+    S = []
+    for _ in range(rng.choice([1, 2, 2, 3])):
+        elem = []
+        for j, n in enumerate(sizes):
+            if j in repeats:
+                i, P = repeats[j]
+                elem.append(mmul(mmul(P, elem[i]), P))
+                continue
+            # Mat, not mat: mat would reduce the ints mod 2
+            elem.append(Mat(field, n, tuple(
+                tuple(0 if j in triangular and r > c else rng.randrange(q)
+                      for c in range(n)) for r in range(n))))
+        S.append(tuple(elem))
+    return S, sizes
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_xor_closure_matches_the_odd_characteristic_kernels_at_scale(q):
+    # the odd-characteristic kernels still accept characteristic 2, and are
+    # the references here, from 64 to about 300 dimensions
+    field = field_of_order(q)
+    reference = generation._spin_up_fp if q == 2 else generation._spin_up_fq
+    rng = random.Random(f"xor-closure-{q}")
+    cases = [_large_char2_case(field, rng, min_dim)
+             for min_dim in (64, 120, 200, 300)]
+    # 13 copies of random generating pairs of M_4: the closure is full
+    pairs = []
+    while len(pairs) < 13:
+        pair = [rand_mat(field, 4, rng) for _ in range(2)]
+        if generates_single(pair).verdict:
+            pairs.append(pair)
+    cases.append((list(zip(*pairs)), [4] * 13))
+    cases.append(([], [2, 3, 4] * 4))
+    shortfalls = []
+    for S, sizes in cases:
+        for include_identity in (True, False):
+            dim = generation._spin_up_f2k(S, sizes, field, include_identity)
+            assert dim == reference(S, sizes, field, include_identity)
+            shortfalls.append((dim, sum(n * n for n in sizes) - dim))
+    assert shortfalls[-4:] == [(208, 0), (208, 0), (1, 115), (0, 116)]
+    assert all(short > 0 for _, short in shortfalls[:-4])
+
+
+def test_xor_closure_over_f2_at_dimension_1728_in_bounded_time():
+    # 192 random pairs of M_3(F_2) copies; the packed F_p kernel takes
+    # several seconds on this family
+    rng = random.Random(1728)
+    shape = shape_of(3, 192)
+    S = [tuple(rand_mat(F2, 3, rng) for _ in range(192)) for _ in range(2)]
+    want = generation._spin_up_fp(S, shape.copy_sizes, F2, True)
+    start = time.perf_counter()
+    rep = closure_generates(S, shape, field=F2)
+    assert time.perf_counter() - start < 1.5
+    assert rep.closure_dim == want
 
 
 @pytest.mark.parametrize("q", [5, 9, 81])
